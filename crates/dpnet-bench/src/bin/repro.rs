@@ -12,6 +12,9 @@
 //! repro --explain <id>…     # also write bench-reports/EXPLAIN_<id>.txt
 //! ```
 //!
+//! An unknown id fails the whole run before anything executes: exit 2,
+//! the id list on stderr, and no report written.
+//!
 //! With `--workers N` (N ≥ 1), the experiments that have worker-pool
 //! variants (`fig1`, `itemsets`, `worm`) run on a shared [`pinq::ExecPool`];
 //! the rest are unaffected. Output is deterministic: for a fixed seed, any
@@ -100,6 +103,20 @@ fn main() {
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
             "usage: repro [--workers N] [--profile] [--explain] all | <id> [<id> ...]\nids: {}",
+            IDS.join(" ")
+        );
+        std::process::exit(2);
+    }
+    // Reject unknown ids before anything runs, so a typo writes no report.
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(|s| s.as_str())
+        .filter(|a| *a != "all" && !IDS.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment id(s): {}\nids: {}",
+            unknown.join(" "),
             IDS.join(" ")
         );
         std::process::exit(2);

@@ -113,13 +113,12 @@ impl ChargeNode {
                 }
                 Ok(())
             }
-            ChargeNode::PartitionPart { ledger, index } => ledger.charge_child_traced(
-                *index,
-                eps,
-                meta,
-                &join_path(path, &seg_part(*index)),
-                trace,
-            ),
+            // The ledger appends `part[index]` itself, only when the
+            // charge forwards or a trace records: absorbed parts of a
+            // fan-out format nothing.
+            ChargeNode::PartitionPart { ledger, index } => {
+                ledger.charge_child_traced(*index, eps, meta, path, trace)
+            }
         }
     }
 
@@ -226,7 +225,7 @@ impl ChargeNode {
                 }
             }
             ChargeNode::PartitionPart { ledger, index } => {
-                ledger.refund_child_with(*index, eps, meta, &join_path(path, &seg_part(*index)))
+                ledger.refund_child_with(*index, eps, meta, path)
             }
         }
     }

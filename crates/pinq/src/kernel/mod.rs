@@ -86,30 +86,38 @@ pub(crate) fn scaled_pair(
     ]))
 }
 
-/// The charge nodes for the parts of a `partition`: one shared ledger
-/// (max-of-parts accounting) forwarding through a stability scaling of
-/// `parent`, and one `PartitionPart` node per part. The live counterpart
-/// of a `NewLedger` transition followed by one `ExtendDag` per part.
-pub(crate) fn partition_nodes(
+/// The parts of one `partition`: one shared ledger (max-of-parts
+/// accounting) forwarding through a stability scaling of the parent node.
+/// The live counterpart of a `NewLedger` transition; each
+/// [`PartitionParts::part`] is one `ExtendDag`.
+pub(crate) struct PartitionParts(Arc<PartitionLedger>);
+
+/// Open the ledger for a `partition` of `parent` into `parts` parts,
+/// charging through a ×`factor` scaling.
+pub(crate) fn partition_parts(
     parent: &Arc<ChargeNode>,
     factor: f64,
     parts: usize,
-) -> Vec<Arc<ChargeNode>> {
-    let ledger = Arc::new(PartitionLedger::new(
+) -> PartitionParts {
+    PartitionParts(Arc::new(PartitionLedger::new(
         Arc::new(ChargeNode::Scaled {
             parent: parent.clone(),
             factor,
         }),
         parts,
-    ));
-    (0..parts)
-        .map(|index| {
-            Arc::new(ChargeNode::PartitionPart {
-                ledger: ledger.clone(),
-                index,
-            })
-        })
-        .collect()
+    )))
+}
+
+impl PartitionParts {
+    /// The charge node of part `index`. Built by value, so a fan-out that
+    /// charges each part once allocates no node per part; a queryable that
+    /// outlives the call wraps it in an `Arc`.
+    pub(crate) fn part(&self, index: usize) -> ChargeNode {
+        ChargeNode::PartitionPart {
+            ledger: self.0.clone(),
+            index,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -249,8 +257,8 @@ mod tests {
     #[test]
     fn partition_nodes_share_one_ledger() {
         let a = Accountant::new(1.0);
-        let parts = partition_nodes(&root_node(&a), 2.0, 3);
-        assert_eq!(parts.len(), 3);
+        let ledger = partition_parts(&root_node(&a), 2.0, 3);
+        let parts: Vec<ChargeNode> = (0..3).map(|i| ledger.part(i)).collect();
         let prep = prepare("noisy_count", None);
         for p in &parts {
             charge_prepared(p, 0.1, &prep).unwrap();
@@ -263,7 +271,8 @@ mod tests {
     #[test]
     fn predict_tree_matches_the_live_walk() {
         let a = Accountant::new(1.0);
-        let parts = partition_nodes(&root_node(&a), 1.0, 2);
+        let ledger = partition_parts(&root_node(&a), 1.0, 2);
+        let parts = [ledger.part(0), ledger.part(1)];
         let prep = prepare("noisy_count", None);
         charge_prepared(&parts[0], 0.3, &prep).unwrap();
         // Part 1 sits below the 0.3 max: a 0.2 charge would forward zero.

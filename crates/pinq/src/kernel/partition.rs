@@ -14,7 +14,7 @@
 
 use super::budget::ChargeMeta;
 use super::charge::ChargeNode;
-use super::model::LedgerBook;
+use super::model::{join_path, seg_part, LedgerBook};
 use crate::error::Result;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -57,17 +57,22 @@ impl PartitionLedger {
     /// [`PartitionLedger::charge_child`] with provenance threaded through
     /// (the forwarded max-increase carries the same operator/label/path)
     /// that also records per-root
-    /// deltas into `trace` (see [`ChargeNode::charge_traced`]). The
-    /// forwarded delta is computed and traced while the ledger lock is
-    /// held, so the trace stays exact under concurrent part charges. A
-    /// charge absorbed below the current max traces a zero delta for every
-    /// root it would have reached, keeping per-path call counts honest.
+    /// deltas into `trace` (see [`ChargeNode::charge_traced`]). `prefix`
+    /// is the charge path *above* this part; the `part[index]` segment is
+    /// appended here, and only when something reads it: a forwarded
+    /// max-increase or a recording trace. A charge absorbed below the
+    /// current max with no trace — every part after the first in a
+    /// fan-out — is one book update and no allocation. The forwarded
+    /// delta is computed and traced while the ledger lock is held, so the
+    /// trace stays exact under concurrent part charges. A charge absorbed
+    /// below the current max traces a zero delta for every root it would
+    /// have reached, keeping per-path call counts honest.
     pub(in crate::kernel) fn charge_child_traced(
         &self,
         index: usize,
         eps: f64,
         meta: &ChargeMeta,
-        path: &str,
+        prefix: &str,
         trace: &mut Option<&mut Vec<(String, f64)>>,
     ) -> Result<()> {
         let mut book = self.book.lock();
@@ -76,9 +81,11 @@ impl PartitionLedger {
         // so a parent failure leaves the ledger untouched.
         let delta = book.forwardable(index, eps);
         if delta > 0.0 {
-            self.parent.charge_traced(delta, meta, path, trace)?;
+            let path = join_path(prefix, &seg_part(index));
+            self.parent.charge_traced(delta, meta, &path, trace)?;
         } else if let Some(t) = trace.as_mut() {
-            self.parent.predict_into(0.0, path, t);
+            let path = join_path(prefix, &seg_part(index));
+            self.parent.predict_into(0.0, &path, t);
         }
         book.commit(index, eps);
         Ok(())
@@ -100,17 +107,21 @@ impl PartitionLedger {
     /// [`PartitionLedger::refund_child`] with provenance threaded through.
     /// The clamp and the max-drop rescan are [`LedgerBook::refund`]; only
     /// a decrease of the maximum is refunded upstream, under the lock.
+    /// Like [`PartitionLedger::charge_child_traced`], `prefix` is the path
+    /// above this part, and `part[index]` is formatted only when a refund
+    /// goes upstream.
     pub(in crate::kernel) fn refund_child_with(
         &self,
         index: usize,
         eps: f64,
         meta: &ChargeMeta,
-        path: &str,
+        prefix: &str,
     ) {
         let mut book = self.book.lock();
         let upstream = book.refund(index, eps);
         if upstream > 0.0 {
-            self.parent.refund_with(upstream, meta, path);
+            let path = join_path(prefix, &seg_part(index));
+            self.parent.refund_with(upstream, meta, &path);
         }
     }
 
@@ -225,7 +236,7 @@ mod tests {
                         let mut local = Vec::new();
                         for _ in 0..100 {
                             ledger
-                                .charge_child_traced(i, 0.01, &meta, "part", &mut Some(&mut local))
+                                .charge_child_traced(i, 0.01, &meta, "", &mut Some(&mut local))
                                 .unwrap();
                         }
                         local.iter().map(|(_, d)| d).sum::<f64>()

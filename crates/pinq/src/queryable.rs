@@ -49,9 +49,55 @@ use dpnet_obs::{
     now_ns, AggregateEvent, Event, ExecEvent, Outcome, PlanEvent, SpanTimer, TransformEvent,
 };
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// An Fx-style hasher (one add and multiply per word, a rotate on finish,
+/// as in `rustc-hash`) for the key index of a partition fan-out, which
+/// holds up to 131,072 keys per frequent-string round. It is not
+/// DoS-resistant, and need not be: partition keys come from analysis code,
+/// never from the wire, so no adversary picks the key set.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    // `usize` keys and enum discriminants (`Option<u64>` prefix codes)
+    // hash through here; the default would take the byte-slice path.
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes buckets by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Map each key to its position in `keys`. Shared by
+/// [`Queryable::partition`] and [`Queryable::partition_noisy_counts`].
+fn key_index<K: Eq + Hash>(keys: &[K]) -> Result<HashMap<&K, usize, BuildHasherDefault<FxHasher>>> {
+    let mut index_of = HashMap::with_capacity_and_hasher(keys.len(), Default::default());
+    for (i, k) in keys.iter().enumerate() {
+        if index_of.insert(k, i).is_some() {
+            return Err(Error::DuplicatePartitionKeys);
+        }
+    }
+    Ok(index_of)
+}
 
 /// The records behind a queryable: a materialized (sharded) buffer, or a
 /// lazy fused plan that will produce one when forced.
@@ -947,10 +993,7 @@ impl<T> Queryable<T> {
     {
         let prof = self.agg_span("partition");
         let t = SpanTimer::start();
-        let index_of: HashMap<&K, usize> = keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
-        if index_of.len() != keys.len() {
-            return Err(Error::DuplicatePartitionKeys);
-        }
+        let index_of = key_index(keys)?;
         let records = self.records();
         prof.set_records(records.len() as u64);
         let parts: Vec<Vec<T>> = match &self.ctx {
@@ -1000,14 +1043,13 @@ impl<T> Queryable<T> {
     /// source budget their maximum (parallel composition).
     fn wrap_parts(&self, parts: Vec<Vec<T>>) -> Vec<Queryable<T>> {
         let n_parts = parts.len();
-        let nodes = kernel::partition_nodes(&self.charge, self.stability, n_parts);
+        let ledger = kernel::partition_parts(&self.charge, self.stability, n_parts);
         parts
             .into_iter()
-            .zip(nodes)
             .enumerate()
-            .map(|(index, (records, charge))| Queryable {
+            .map(|(index, records)| Queryable {
                 data: Data::Ready(Shards::from_vec(records)),
-                charge,
+                charge: Arc::new(ledger.part(index)),
                 noise: self.noise.clone(),
                 stability: 1.0,
                 label: self.label.clone(),
@@ -1041,7 +1083,10 @@ impl<T> Queryable<T> {
     /// - only a key histogram is computed (streamed over the fused chain
     ///   when nothing has materialized): the per-part record buffers never
     ///   exist. A 256-way fan-out costs one pass and 256 integers instead
-    ///   of 256 allocations.
+    ///   of 256 allocations;
+    /// - per-part `Aggregate` events, and the timers behind them, are
+    ///   produced only when a sink is bound, and then match the unbatched
+    ///   form's event for event.
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key,
     /// like [`Queryable::partition`].
@@ -1057,10 +1102,7 @@ impl<T> Queryable<T> {
     {
         let prof = self.agg_span("partition_noisy_counts");
         let t = SpanTimer::start();
-        let index_of: HashMap<&K, usize> = keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
-        if index_of.len() != keys.len() {
-            return Err(Error::DuplicatePartitionKeys);
-        }
+        let index_of = key_index(keys)?;
         check_epsilon(eps)?;
         if !(self.stability.is_finite() && self.stability > 0.0) {
             return Err(Error::InvalidStability(self.stability));
@@ -1106,23 +1148,26 @@ impl<T> Queryable<T> {
             }
         };
         prof.set_records(counts.iter().sum::<usize>() as u64);
-        // The charge nodes the unbatched form builds in `wrap_parts`: parts
-        // charge through one shared ledger scaled by this queryable's
-        // stability; each part's own stability is 1.
-        let nodes = kernel::partition_nodes(&self.charge, self.stability, keys.len());
+        // The ledger and part nodes the unbatched form builds in
+        // `wrap_parts`: parts charge through one shared ledger scaled by
+        // this queryable's stability; each part's own stability is 1.
+        let ledger = kernel::partition_parts(&self.charge, self.stability, keys.len());
         let prep = kernel::prepare("noisy_count", self.label.clone());
+        // The sink is resolved once per fan-out, and a part is timed only
+        // when its event has somewhere to go: unobserved, a part costs one
+        // ledger update and one draw.
+        let sink = self.sink.resolve();
         let mut out = Vec::with_capacity(keys.len());
-        for (node, &n) in nodes.iter().zip(counts.iter()) {
-            let part_timer = SpanTimer::start();
-            let r = (|| {
-                kernel::charge_prepared(node, eps, &prep)?;
-                aggregates::noisy_count(&self.noise, n, eps)
-            })();
-            // Per-part events mirror the unbatched per-part noisy_count:
-            // stability 1, eps charged when the part's release succeeded.
-            let outcome = outcome_of(&r);
-            self.sink.emit(|| {
-                Event::Aggregate(AggregateEvent {
+        for (index, &n) in counts.iter().enumerate() {
+            let observed = sink.as_ref().map(|sink| (sink, SpanTimer::start()));
+            let r = kernel::charge_prepared(&ledger.part(index), eps, &prep)
+                .and_then(|()| aggregates::noisy_count(&self.noise, n, eps));
+            if let Some((sink, part_timer)) = observed {
+                // Per-part events mirror the unbatched per-part
+                // noisy_count: stability 1, eps charged when the part's
+                // release succeeded.
+                let outcome = outcome_of(&r);
+                sink.emit(&Event::Aggregate(AggregateEvent {
                     operator: "noisy_count",
                     mechanism: "laplace",
                     label: self.label.clone(),
@@ -1135,8 +1180,8 @@ impl<T> Queryable<T> {
                     at_ns: part_timer.started_at_ns(),
                     #[cfg(feature = "trusted-owner")]
                     input_records: n as u64,
-                })
-            });
+                }));
+            }
             out.push(r?);
         }
         Ok(out)
@@ -1944,30 +1989,139 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// What an owner can observe of a sequence of 3-way fan-outs: the
+    /// released bits (or the refusal), the accountant's books and audit
+    /// log, the `Aggregate` event stream, and the per-part charge traces.
+    #[derive(Debug, PartialEq)]
+    struct FanOutView {
+        releases: Vec<std::result::Result<Vec<u64>, String>>,
+        spent: u64,
+        /// (operator, path, ε bits, sequence) per audit-log entry.
+        audit: Vec<(String, String, u64, u64)>,
+        /// (released bits, ε charged bits, outcome) per `Aggregate` event.
+        aggregates: Vec<(Option<u64>, u64, Outcome)>,
+        /// (full charge path, calls, traced ε bits) per recorded path.
+        traces: Vec<(String, u64, u64)>,
+    }
+
+    /// Run `rounds` fan-outs at ε = 0.03 over a stability-11 dataset,
+    /// batched or as `partition` followed by per-part `noisy_count`
+    /// (stopping at the first refusal, as the batched form does).
+    fn fan_outs(batched: bool, budget: f64, rounds: usize) -> FanOutView {
+        let acct = Accountant::new(budget);
+        let sink = Arc::new(dpnet_obs::MemorySink::new());
+        acct.set_sink(Some(sink.clone()));
+        let noise = NoiseSource::seeded(42);
+        // select_many(11, ..) gives a scale(x11) edge no other test
+        // produces, so this run's traces are identifiable even though the
+        // recorder is process-global and other tests may charge meanwhile.
+        let q = Queryable::new(trace(), &acct, &noise)
+            .select_many(11, |p| vec![p.port])
+            .unwrap();
+        let ports = [80u16, 443, 22];
+        let rec = Arc::new(crate::explain::ExplainRecorder::new());
+        crate::explain::install_explain_recorder(rec.clone());
+        let releases = (0..rounds)
+            .map(|_| {
+                let r = if batched {
+                    q.partition_noisy_counts(&ports, |&p| p, 0.03)
+                } else {
+                    q.partition(&ports, |&p| p)
+                        .and_then(|parts| parts.iter().map(|p| p.noisy_count(0.03)).collect())
+                };
+                r.map(|v| v.iter().map(|x| x.to_bits()).collect())
+                    .map_err(|e| e.to_string())
+            })
+            .collect();
+        crate::explain::uninstall_explain_recorder();
+        FanOutView {
+            releases,
+            spent: acct.spent().to_bits(),
+            audit: acct
+                .audit_log()
+                .iter()
+                .map(|e| {
+                    let (op, path) = (e.operator.to_string(), e.path.to_string());
+                    (op, path, e.epsilon.to_bits(), e.sequence)
+                })
+                .collect(),
+            aggregates: sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Aggregate(a) => Some((
+                        a.released.map(f64::to_bits),
+                        a.eps_charged.to_bits(),
+                        a.outcome,
+                    )),
+                    _ => None,
+                })
+                .collect(),
+            traces: rec
+                .report()
+                .full_paths
+                .iter()
+                .filter(|p| p.path.ends_with("scale(x11)/root"))
+                .map(|p| (p.path.clone(), p.calls, p.predicted_eps.to_bits()))
+                .collect(),
+        }
+    }
+
     #[test]
     fn partition_noisy_counts_matches_the_unbatched_form_bitwise() {
-        let batched = {
-            let (acct, q) = setup(10.0);
-            let ports: Vec<u16> = vec![80, 443, 22];
-            let counts = q
-                .partition_noisy_counts(&ports, |p| p.port, 0.3)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>();
-            (counts, acct.spent())
-        };
-        let unbatched = {
-            let (acct, q) = setup(10.0);
-            let ports: Vec<u16> = vec![80, 443, 22];
-            let parts = q.partition(&ports, |p| p.port).unwrap();
-            let counts = parts
-                .iter()
-                .map(|p| p.noisy_count(0.3).unwrap().to_bits())
-                .collect::<Vec<_>>();
-            (counts, acct.spent())
-        };
-        assert_eq!(batched, unbatched);
+        let _guard = crate::explain::test_global_guard();
+        let batched = fan_outs(true, 10.0, 2);
+        assert_eq!(batched, fan_outs(false, 10.0, 2));
+        // Each fan-out forwards once, through its first part.
+        let scaled = (0.03 * 11.0f64).to_bits();
+        let audit: Vec<(&str, u64)> = batched
+            .audit
+            .iter()
+            .map(|(_, path, eps, _)| (path.as_str(), *eps))
+            .collect();
+        assert_eq!(
+            audit,
+            vec![
+                ("part[0]/scale(x11)/root", scaled),
+                ("part[0]/scale(x11)/root", scaled)
+            ]
+        );
+        assert_eq!(batched.aggregates.len(), 6);
+        // Every part of both rounds traced its path; the absorbed parts
+        // traced a zero delta.
+        for (path, calls, eps) in &batched.traces {
+            assert_eq!(*calls, 2, "{path}");
+            let expected = if path.starts_with("part[0]/") {
+                2.0 * 0.33
+            } else {
+                0.0
+            };
+            assert!((f64::from_bits(*eps) - expected).abs() < 1e-12, "{path}");
+        }
+        assert_eq!(batched.traces.len(), 3);
+    }
+
+    #[test]
+    fn partition_noisy_counts_refusal_matches_the_unbatched_form() {
+        let _guard = crate::explain::test_global_guard();
+        // 0.5 affords one fan-out (0.33) but not a second. Only a fan-out's
+        // first part can be refused: every later part is absorbed below
+        // the max that part sets. The refused round releases nothing and
+        // books nothing; the round before it stays charged.
+        let batched = fan_outs(true, 0.5, 2);
+        assert_eq!(batched, fan_outs(false, 0.5, 2));
+        assert!(batched.releases[0].is_ok());
+        assert!(batched.releases[1].is_err());
+        assert_eq!(f64::from_bits(batched.spent), 0.03 * 11.0);
+        assert_eq!(batched.audit.len(), 1);
+        let outcomes: Vec<Outcome> = batched.aggregates.iter().map(|a| a.2).collect();
+        assert_eq!(
+            outcomes,
+            vec![Outcome::Ok, Outcome::Ok, Outcome::Ok, Outcome::Denied]
+        );
+        assert_eq!(batched.aggregates[3], (None, 0, Outcome::Denied));
+        // The refused charge traced nothing: only round one's parts appear.
+        assert!(batched.traces.iter().all(|(_, calls, _)| *calls == 1));
     }
 
     #[test]

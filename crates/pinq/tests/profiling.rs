@@ -38,6 +38,9 @@ fn profiled<R>(work: impl FnOnce() -> R) -> (R, Vec<CompletedSpan>, Arc<TraceRec
 /// of being silently skipped.
 #[test]
 fn sequential_runs_emit_exec_events_with_one_worker() {
+    // No recorder is installed here, but these aggregations still open
+    // spans: without the guard they land in another test's recorder.
+    let _g = global_guard();
     let (_, sink, q) = dataset(2_000, 100.0);
     // Explicitly sequential: the default context.
     let q = q.with_ctx(ExecCtx::Sequential);
@@ -65,6 +68,7 @@ fn sequential_runs_emit_exec_events_with_one_worker() {
 
 #[test]
 fn pool_and_sequential_modes_emit_the_same_kernel_set() {
+    let _g = global_guard();
     let (_, seq_sink, q) = dataset(40_000, 100.0);
     q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
     let (_, pool_sink, q) = dataset(40_000, 100.0);
