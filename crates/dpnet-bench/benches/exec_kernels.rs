@@ -10,10 +10,13 @@
 //! `plan_pipeline` group runs a filter→map→partition chain over 1M
 //! records two ways — lazily (one fused pass, no intermediate buffers)
 //! and eagerly (`collect_protected` after every operator) — and is the
-//! measured evidence behind the lazy execution model.
+//! measured evidence behind the lazy execution model. The
+//! `exec_group_by` group times the grouping kernel on fig1-shaped
+//! `(flow, seq)` keys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpnet_obs::{install_recorder, uninstall_recorder, TraceRecorder};
+use dpnet_trace::flow::FlowKey;
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::sync::Arc;
@@ -24,6 +27,10 @@ const KEYS: usize = 256;
 /// execution model is measured at this scale: deep chains over ≥1M
 /// records must beat the eager per-operator path.
 const PIPELINE_N: usize = 1_000_000;
+
+/// Records in the grouping bench, about the size of fig1's
+/// retransmission grouping (~110k packets into ~108k groups).
+const GROUP_N: u32 = 100_000;
 
 fn dataset(n: usize) -> Queryable<u32> {
     let acct = Accountant::new(f64::MAX / 2.0);
@@ -45,6 +52,34 @@ fn bench_partition(c: &mut Criterion) {
             |b, _| b.iter(|| q.partition(&keys, |&v| v % KEYS as u32).unwrap().len()),
         );
     }
+    g.finish();
+}
+
+/// `group_by` over `(FlowKey, seq)` keys, as fig1 groups TCP data
+/// packets: 3,000 flows, and every 50th record repeats its predecessor's
+/// key (a retransmission), so ~98k groups of one or two members.
+fn bench_group_by(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exec_group_by");
+    g.throughput(Throughput::Elements(u64::from(GROUP_N)));
+    let acct = Accountant::new(f64::MAX / 2.0);
+    let noise = NoiseSource::seeded(11);
+    let records: Vec<(FlowKey, u32, u64)> = (0..GROUP_N)
+        .map(|i| {
+            let j = if i % 50 == 49 { i - 1 } else { i };
+            let flow = FlowKey {
+                src_ip: 0x0a00_0000 + j % 3_000,
+                dst_ip: 0xc0a8_0001,
+                src_port: 1024 + (j % 3_000) as u16,
+                dst_port: 80,
+                proto: 6,
+            };
+            (flow, j.wrapping_mul(1460), u64::from(i) * 100)
+        })
+        .collect();
+    let q = Queryable::new(records, &acct, &noise);
+    g.bench_function("group_by_100k_flow_seq", |b| {
+        b.iter(|| q.group_by(|r| (r.0, r.1)).stability())
+    });
     g.finish();
 }
 
@@ -130,6 +165,6 @@ fn bench_profiler_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_partition, bench_trace_gen, bench_pipeline_depth, bench_profiler_overhead
+    targets = bench_partition, bench_group_by, bench_trace_gen, bench_pipeline_depth, bench_profiler_overhead
 }
 criterion_main!(benches);

@@ -34,9 +34,12 @@
 //! refreshed baseline alongside the change.
 //!
 //! `record --check` is the dry-run staleness gate: it touches nothing and
-//! instead verifies that the committed fixtures the other gates consume —
-//! `BENCH_baseline.json` and every `GOLDEN_*.json` under the report
-//! directory — were produced by the current report schema. Run-report
+//! instead verifies that the fixtures under the report directory —
+//! `BENCH_baseline.json` (which must exist) and every other `BENCH_*.json`
+//! and `GOLDEN_*.json` — were produced by the current report schema. A
+//! report the current tools just wrote passes by construction, so a fresh
+//! local run never trips the gate; a committed fixture left behind by a
+//! schema bump does. Run-report
 //! fixtures must carry `schema_version` equal to
 //! [`dpnet_bench::report::SCHEMA_VERSION`]; explain-format fixtures must
 //! parse with the current explain-semantics reader. Any stale file fails
@@ -67,6 +70,7 @@
 //! and wall times cannot.
 
 use dpnet_bench::experiments as exp;
+use dpnet_bench::profile::IDS;
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
 use dpnet_obs::{set_global_sink, MemorySink};
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
@@ -693,6 +697,11 @@ fn regenerate_hint(name: &str) -> String {
                 --sessions 64 --requests 4 --report-dir bench-reports"
             .to_string();
     }
+    if let Some((id, workers)) = profile_report_target(name) {
+        return format!(
+            "cargo run --release -p dpnet-cli --bin dpnet -- profile {id} --workers {workers}"
+        );
+    }
     if let Some(id) = name
         .strip_prefix("GOLDEN_explain_")
         .and_then(|s| s.strip_suffix(".json"))
@@ -714,24 +723,36 @@ fn regenerate_hint(name: &str) -> String {
     format!("regenerate bench-reports/{name} with the tool that produced it")
 }
 
+/// The experiment id and worker count of a profiled report's file name,
+/// `BENCH_<id>-w<workers>.json` (what `dpnet profile` writes for one
+/// experiment id).
+fn profile_report_target(name: &str) -> Option<(&str, usize)> {
+    let stem = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+    let (id, workers) = stem.rsplit_once("-w")?;
+    IDS.contains(&id).then_some((id, workers.parse().ok()?))
+}
+
+/// Whether `record --check` checks a report-directory file: every run
+/// report (`BENCH_*.json`) and golden fixture (`GOLDEN_*.json`).
+fn is_checked_fixture(name: &str) -> bool {
+    (name.starts_with("BENCH_") || name.starts_with("GOLDEN_")) && name.ends_with(".json")
+}
+
 fn cmd_record_check(out_dir: &str) -> i32 {
     let dir = std::path::Path::new(out_dir);
-    // The baseline is checked even when absent; the serve report is
-    // checked when committed; goldens are whatever is committed (sorted so
-    // the output is stable).
+    // The baseline is checked even when absent; every other report and
+    // golden fixture is whatever the directory holds (sorted so the output
+    // is stable).
     let mut names = vec!["BENCH_baseline.json".to_string()];
-    if dir.join("BENCH_serve.json").exists() {
-        names.push("BENCH_serve.json".to_string());
-    }
     match std::fs::read_dir(dir) {
         Ok(entries) => {
-            let mut goldens: Vec<String> = entries
+            let mut found: Vec<String> = entries
                 .filter_map(Result::ok)
                 .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.starts_with("GOLDEN_") && n.ends_with(".json"))
+                .filter(|n| is_checked_fixture(n) && n != "BENCH_baseline.json")
                 .collect();
-            goldens.sort();
-            names.extend(goldens);
+            found.sort();
+            names.extend(found);
         }
         Err(e) => {
             eprintln!("cannot read {out_dir}: {e}");
@@ -1284,6 +1305,35 @@ mod tests {
         );
         let explain = regenerate_hint("GOLDEN_explain_fig1.json");
         assert!(explain.contains("explain fig1 --format json"), "{explain}");
+        let profile = regenerate_hint("BENCH_fig1-w4.json");
+        assert!(
+            profile.contains("dpnet -- profile fig1 --workers 4"),
+            "{profile}"
+        );
+        // A multi-experiment `repro --workers 4` report is not a profile.
+        let multi = regenerate_hint("BENCH_fig1-itemsets-worm-w4.json");
+        assert!(multi.contains("with the tool"), "{multi}");
+    }
+
+    #[test]
+    fn record_check_covers_every_report_and_golden() {
+        for name in [
+            "BENCH_baseline.json",
+            "BENCH_fig1-w1.json",
+            "BENCH_worm-w4.json",
+            "BENCH_serve.json",
+            "GOLDEN_fig1.json",
+            "GOLDEN_explain_fig1.json",
+        ] {
+            assert!(is_checked_fixture(name), "{name}");
+        }
+        for name in [
+            "PROFILE_worm-w4.txt",
+            "EXPLAIN_fig1.txt",
+            "trace_fig1-w1.json",
+        ] {
+            assert!(!is_checked_fixture(name), "{name}");
+        }
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! sequentially or on a worker pool of 1, 2 or 8 workers. Stability and
 //! charge bookkeeping happen at operator *declaration*, so laziness may
 //! never shift what is charged — only when record buffers exist.
+//!
+//! The grouping barriers (`group_by`, `join`) are pinned to a naive
+//! reference: the same groups, in first-seen key order, with members in
+//! input order, for any execution context and whether or not their input
+//! was forced first.
 
-use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, ExecPool, Group, JoinGroup, NoiseSource, Queryable};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn dataset(n: usize, offset: u32) -> Vec<u32> {
     (0..n as u32).map(|v| v + offset).collect()
@@ -110,6 +116,107 @@ fn run_fanout(
     (counts.iter().map(|c| c.to_bits()).collect(), acct.spent())
 }
 
+/// A record tagged with its input position: `(position, key)`.
+type Rec = (u32, u32);
+
+/// ε at which a noisy count is exact once rounded: the Laplace noise has
+/// scale 1e-9, so it never reaches 0.5.
+const EXACT: f64 = 1e9;
+
+fn tagged(keys: &[u32]) -> Vec<Rec> {
+    (0u32..).zip(keys.iter().copied()).collect()
+}
+
+/// Drops every fifth record, so the unforced inputs are real lazy plans.
+fn kept(r: &Rec) -> bool {
+    r.0 % 5 != 4
+}
+
+/// `group_by` by definition: keys in first-seen order, members in input
+/// order, found by linear search.
+fn reference_groups(records: &[Rec]) -> Vec<Group<u32, Rec>> {
+    let mut out: Vec<Group<u32, Rec>> = Vec::new();
+    for &r in records {
+        match out.iter_mut().find(|g| g.key == r.1) {
+            Some(g) => g.items.push(r),
+            None => out.push(Group {
+                key: r.1,
+                items: vec![r],
+            }),
+        }
+    }
+    out
+}
+
+/// `join` by definition: the left groups, in their order, that have at
+/// least one right record, each with its right records in input order.
+fn reference_join(left: &[Rec], right: &[Rec]) -> Vec<JoinGroup<u32, Rec, Rec>> {
+    reference_groups(left)
+        .into_iter()
+        .filter_map(|g| {
+            let rs: Vec<Rec> = right.iter().filter(|r| r.1 == g.key).copied().collect();
+            (!rs.is_empty()).then_some(JoinGroup {
+                key: g.key,
+                left: g.items,
+                right: rs,
+            })
+        })
+        .collect()
+}
+
+/// Whether `q` holds exactly `expected` (distinct records), in order,
+/// judged from exact releases only.
+///
+/// `distinct_by` keeps the first record per key, so filtering out
+/// `expected[..i]` and keeping the first survivor reveals which record
+/// comes first among the rest; it must be `expected[i]`. With the total
+/// count equal, that holding for every `i` pins the whole sequence.
+fn holds_exactly<R>(q: &Queryable<R>, expected: &[R]) -> bool
+where
+    R: Clone + PartialEq + Send + Sync + 'static,
+{
+    if q.noisy_count(EXACT).unwrap().round() != expected.len() as f64 {
+        return false;
+    }
+    let expected = Arc::new(expected.to_vec());
+    (0..expected.len()).all(|i| {
+        let (earlier, want) = (expected.clone(), expected.clone());
+        q.filter(move |r| !earlier[..i].contains(r))
+            .distinct_by(|_| ())
+            .filter(move |r| *r == want[i])
+            .noisy_count(EXACT)
+            .unwrap()
+            .round()
+            == 1.0
+    })
+}
+
+/// Check `group_by` and `join` against the references on `left`/`right`
+/// (after dropping every fifth record), with both inputs left as lazy
+/// plans or forced first.
+fn grouping_matches_reference(left: &[Rec], right: &[Rec], ctx: ExecCtx, forced: bool) -> bool {
+    let acct = Accountant::new(1e15);
+    let noise = NoiseSource::seeded(3);
+    let input = |records: &[Rec]| {
+        let q = Queryable::new(records.to_vec(), &acct, &noise)
+            .with_ctx(ctx.clone())
+            .filter(kept);
+        if forced {
+            q.collect_protected()
+        } else {
+            q
+        }
+    };
+    let (l, r) = (input(left), input(right));
+    let left_kept: Vec<Rec> = left.iter().copied().filter(kept).collect();
+    let right_kept: Vec<Rec> = right.iter().copied().filter(kept).collect();
+    holds_exactly(&l.group_by(|r| r.1), &reference_groups(&left_kept))
+        && holds_exactly(
+            &l.join(&r, |r| r.1, |r| r.1),
+            &reference_join(&left_kept, &right_kept),
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -171,6 +278,31 @@ proptest! {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
             let pooled = run_fanout(n, k, eps, seed, ExecCtx::pool(&pool), true);
             prop_assert_eq!(&pooled, &loop_form, "workers={} diverged", workers);
+        }
+    }
+
+    /// `group_by` and `join` equal their naive references: first-seen key
+    /// order, members in input order, duplicate keys gathered, and join
+    /// keys present on one side only dropped. Keys overlap only partly
+    /// (left 0..6, right 3..9). Holds sequentially and on a pool whose
+    /// small chunks split the inputs across many shards, on lazy and on
+    /// forced inputs.
+    #[test]
+    fn grouping_matches_a_naive_reference_in_every_context(
+        left in prop::collection::vec(0u32..6, 0..120),
+        right in prop::collection::vec(3u32..9, 0..120),
+    ) {
+        let (left, right) = (tagged(&left), tagged(&right));
+        let pool = ExecPool::new(2).unwrap().with_chunk_size(16);
+        for ctx in [ExecCtx::Sequential, ExecCtx::pool(&pool)] {
+            for forced in [false, true] {
+                prop_assert!(
+                    grouping_matches_reference(&left, &right, ctx.clone(), forced),
+                    "diverged: pool={} forced={}",
+                    matches!(ctx, ExecCtx::Pool(_)),
+                    forced
+                );
+            }
         }
     }
 }

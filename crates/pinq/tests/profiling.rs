@@ -146,6 +146,35 @@ fn plan_materialization_is_spanned_inside_its_barrier() {
     assert_eq!(plan.detail.as_deref(), Some("sequential"));
 }
 
+/// `group_by` and `join` are barriers like `partition`: each opens its own
+/// span, and the lazy plans it forces materialize under it, so their time
+/// is not left outside every span.
+#[test]
+fn grouping_barriers_span_the_materializations_they_force() {
+    let _g = global_guard();
+    let ((), spans, _) = profiled(|| {
+        let (_, _, q) = dataset(10_000, 100.0);
+        q.filter(|v| v % 2 == 0).group_by(|v| v % 7);
+        let left = q.filter(|v| v % 3 == 0);
+        let right = q.filter(|v| v % 5 == 0).map(|v| v + 1);
+        left.join(&right, |v| v % 11, |v| v % 11);
+    });
+    for (barrier, forced) in [("group_by", 1), ("join", 2)] {
+        let span = spans
+            .iter()
+            .find(|s| s.name == barrier)
+            .unwrap_or_else(|| panic!("no {barrier} span"));
+        assert_eq!(span.detail.as_deref(), Some("root"));
+        let plans: Vec<&CompletedSpan> = spans
+            .iter()
+            .filter(|s| s.name == "plan/materialize" && s.parent == Some(span.id))
+            .collect();
+        assert_eq!(plans.len(), forced, "plans forced under {barrier}");
+        assert!(plans.iter().all(|p| p.track == span.track));
+        assert!(span.dur_ns >= plans.iter().map(|p| p.dur_ns).sum::<u64>());
+    }
+}
+
 #[test]
 fn pool_runs_produce_worker_tracks_tasks_and_telemetry() {
     let _g = global_guard();
