@@ -212,6 +212,11 @@ impl SinkHandle {
         *lock(&self.local) = sink;
     }
 
+    /// Whether a local sink is bound (the process-wide fallback aside).
+    pub fn is_bound(&self) -> bool {
+        lock(&self.local).is_some()
+    }
+
     /// The sink this handle currently resolves to: local first, then the
     /// process-wide fallback.
     pub fn resolve(&self) -> Option<Arc<dyn EventSink>> {

@@ -5,8 +5,8 @@
 //! analysts, under budget policies. This crate is that mediation as a
 //! network service:
 //!
-//! * the daemon loads a protected trace **once** as shared shards — every
-//!   analyst session reuses the same chunks zero-copy;
+//! * the daemon loads a protected trace **once** as one shared shard — every
+//!   analyst session reuses the same records zero-copy;
 //! * analysts connect over TCP and speak a length-framed JSON protocol
 //!   ([`protocol`]): open a session, invoke catalogued analyses by name
 //!   with a per-request ε, read spend snapshots, close;
@@ -40,24 +40,13 @@ pub use server::{serve, ServeConfig, ServerHandle};
 use dpnet_trace::Packet;
 use std::sync::Arc;
 
-/// Chunk a flat packet vector into shards sized for the worker pool
-/// (`8 × DEFAULT_CHUNK` records each): the one-time load the daemon does
-/// before accepting sessions. A pre-sharded trace can be passed to
+/// The one-time load the daemon does before accepting sessions: the trace
+/// as one shared shard, with no copy. Sessions address records by global
+/// index and the worker pool splits its tasks by range, so the shard
+/// layout changes no release. A pre-sharded trace can be passed to
 /// [`serve`] directly instead.
 pub fn shard_packets(packets: Vec<Packet>) -> Vec<Arc<Vec<Packet>>> {
-    const SHARD: usize = 8 * 8192;
-    if packets.len() <= SHARD {
-        return vec![Arc::new(packets)];
-    }
-    let mut out = Vec::with_capacity(packets.len() / SHARD + 1);
-    let mut rest = packets;
-    while rest.len() > SHARD {
-        let tail = rest.split_off(SHARD);
-        out.push(Arc::new(rest));
-        rest = tail;
-    }
-    out.push(Arc::new(rest));
-    out
+    vec![Arc::new(packets)]
 }
 
 #[cfg(test)]
@@ -96,9 +85,11 @@ mod tests {
 
         let many = testdata::packets(3 * 8 * 8192 / 2);
         let flat: Vec<Packet> = many.clone();
+        let data = many.as_ptr();
         let shards = shard_packets(many);
-        assert!(shards.len() > 1);
-        let rejoined: Vec<Packet> = shards.iter().flat_map(|s| s.iter().cloned()).collect();
-        assert_eq!(rejoined, flat);
+        // One shard, and its buffer is the input's allocation: no copy.
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].as_ptr(), data);
+        assert_eq!(*shards[0], flat);
     }
 }

@@ -84,11 +84,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(buf))
 }
 
-/// Write one frame.
+/// Write one frame: the length prefix and the payload leave in a single
+/// write. Two writes would put the payload in a second small segment,
+/// which Nagle's algorithm holds until the peer's delayed ACK (~40 ms).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -593,6 +597,36 @@ mod tests {
         let frame = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(frame, b"{\"op\":\"ping\"}");
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A `Write` that accepts everything and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"{\"op\":\"ping\"}", &[b'x'; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {} bytes", payload.len());
+            let frame = read_frame(&mut &w.bytes[..]).unwrap().unwrap();
+            assert_eq!(frame, payload);
+        }
     }
 
     #[test]

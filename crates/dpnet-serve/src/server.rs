@@ -141,9 +141,11 @@ pub fn serve(
     if let Some(dir) = &cfg.audit_dir {
         std::fs::create_dir_all(dir)?;
         let owner_log = File::create(dir.join("serve-audit.jsonl"))?;
-        manager
-            .global()
-            .set_sink(Some(Arc::new(JsonlSink::new(owner_log))));
+        let global = manager.global();
+        global.set_sink(Some(Arc::new(JsonlSink::new(owner_log))));
+        // The owner stream is the spend log: it gets every charge as it
+        // lands, so keep no in-memory copy. Totals stay exact.
+        global.set_log_capacity(0);
     }
     let broker = Arc::new(QueryBroker::new(
         manager,
@@ -167,6 +169,9 @@ pub fn serve(
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    // Replies are single small frames: send each at once
+                    // rather than holding it for the client's delayed ACK.
+                    stream.set_nodelay(true).ok();
                     let broker = broker.clone();
                     let audit_dir = audit_dir.clone();
                     let _ = std::thread::Builder::new()
@@ -252,9 +257,11 @@ impl Connection {
                     ));
                     match File::create(&path) {
                         Ok(f) => {
-                            session
-                                .accountant()
-                                .set_sink(Some(Arc::new(JsonlSink::new(f))));
+                            let acct = session.accountant();
+                            acct.set_sink(Some(Arc::new(JsonlSink::new(f))));
+                            // The file is the spend log: the close-time
+                            // export adds only the exact totals.
+                            acct.set_log_capacity(0);
                             self.audit_path = Some(path);
                         }
                         Err(_) => self.audit_path = None,

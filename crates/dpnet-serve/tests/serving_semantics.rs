@@ -266,3 +266,37 @@ fn one_thousand_concurrent_sessions_with_zero_unexpected_errors() {
     );
     handle.shutdown();
 }
+
+/// A round trip costs what the server computes, not a transport stall:
+/// with the length prefix and body written separately and Nagle on, each
+/// reply waited ~40 ms for the client's delayed ACK.
+#[test]
+fn round_trips_on_one_session_do_not_stall() {
+    let handle = serve(
+        vec![Arc::new(packets(300))],
+        NoiseSource::seeded(13),
+        ServeConfig {
+            global_eps: 100.0,
+            analyst_cap: 100.0,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("daemon");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.open("swift").expect("open");
+    let mut latencies: Vec<std::time::Duration> = (0..64)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.query("count", 1.0 / 1024.0).expect("count");
+            start.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median round trip {median:?}"
+    );
+    client.close().expect("close");
+    handle.shutdown();
+}

@@ -93,24 +93,42 @@ impl Default for AccountantState {
 }
 
 impl AccountantState {
-    /// Record one ledger entry: exact aggregates first, then the bounded log.
-    fn record(&mut self, ev: SpendEvent) {
-        let agg = self.per_operator.entry(ev.operator.clone()).or_default();
-        agg.epsilon += ev.epsilon;
-        agg.entries += 1;
-        let by_path = self.per_path.entry(ev.path.clone()).or_default();
-        by_path.epsilon += ev.epsilon;
-        by_path.entries += 1;
+    /// Record one ledger entry of `epsilon`: exact aggregates first, then
+    /// the bounded log. The entry's operator and path are the aggregate
+    /// maps' own keys, so a charge allocates no string once its operator
+    /// and path have been seen.
+    fn record(&mut self, epsilon: f64, meta: &ChargeMeta, path: &str) -> SpendEvent {
+        self.sequence += 1;
+        let ev = SpendEvent {
+            epsilon,
+            sequence: self.sequence,
+            operator: tally(&mut self.per_operator, &meta.operator, epsilon),
+            path: tally(&mut self.per_path, path, epsilon),
+            label: meta.label.clone(),
+            at_ns: now_ns(),
+        };
         if self.log_capacity == 0 {
             self.evicted += 1;
-            return;
+            return ev;
         }
         while self.log.len() >= self.log_capacity {
             self.log.pop_front();
             self.evicted += 1;
         }
-        self.log.push_back(ev);
+        self.log.push_back(ev.clone());
+        ev
     }
+}
+
+/// Add `epsilon` to `name`'s exact total and return the map's key for it.
+fn tally(totals: &mut BTreeMap<Arc<str>, OperatorTotal>, name: &str, epsilon: f64) -> Arc<str> {
+    let key = totals
+        .get_key_value(name)
+        .map_or_else(|| Arc::from(name), |(k, _)| k.clone());
+    let t = totals.entry(key.clone()).or_default();
+    t.epsilon += epsilon;
+    t.entries += 1;
+    key
 }
 
 /// Provenance attached to a charge as it walks the composition tree.
@@ -153,13 +171,31 @@ impl Accountant {
     /// Panics if `total` is negative, NaN or infinite; the budget is a
     /// policy decision by the data owner and must be a real number.
     pub fn new(total: f64) -> Self {
+        Self::restore(RootBudget::new(total))
+    }
+
+    /// An accountant whose books start at `budget`: its total and the ε
+    /// already spent, bit for bit. The counterpart of
+    /// [`Accountant::idle_budget`]; its ledger and log start empty.
+    pub(crate) fn restore(budget: RootBudget) -> Self {
         Accountant {
             state: Arc::new(Mutex::new(AccountantState {
-                budget: RootBudget::new(total),
+                budget,
                 ..AccountantState::default()
             })),
             sink: SinkHandle::new(),
         }
+    }
+
+    /// The budget, when this handle is the accountant's only one and no
+    /// sink is bound: nothing else can charge it, so dropping it and
+    /// later [`Accountant::restore`]-ing the returned value loses no ε.
+    /// `None` while any clone (a session, a queryable) is alive.
+    pub(crate) fn idle_budget(&self) -> Option<RootBudget> {
+        if Arc::strong_count(&self.state) > 1 || self.sink.is_bound() {
+            return None;
+        }
+        Some(self.state.lock().budget)
     }
 
     /// The total budget currently configured (initial grant plus any
@@ -276,34 +312,13 @@ impl Accountant {
         meta: &ChargeMeta,
         path: &str,
     ) -> Result<()> {
-        let ev = {
+        let (ev, spent_after) = {
             let mut st = self.state.lock();
             st.budget.try_charge(eps)?;
-            st.sequence += 1;
-            let ev = SpendEvent {
-                epsilon: eps,
-                sequence: st.sequence,
-                operator: meta.operator.clone(),
-                path: Arc::from(path),
-                label: meta.label.clone(),
-                at_ns: now_ns(),
-            };
-            st.record(ev.clone());
+            let ev = st.record(eps, meta, path);
             (ev, st.budget.spent)
         };
-        // Emit outside the lock; sinks may be arbitrarily slow.
-        let (ev, spent_after) = ev;
-        self.sink.emit(|| {
-            Event::Charge(ChargeEvent {
-                operator: ev.operator.clone(),
-                path: ev.path.clone(),
-                label: ev.label.clone(),
-                epsilon: ev.epsilon,
-                spent_after,
-                sequence: ev.sequence,
-                at_ns: ev.at_ns,
-            })
-        });
+        self.emit_charge(ev, spent_after);
         Ok(())
     }
 
@@ -320,27 +335,23 @@ impl Accountant {
     /// [`RootBudget::refund`] — per-operator totals keep summing exactly
     /// to `spent` even if a refund clamps.
     pub(in crate::kernel) fn refund_with(&self, eps: f64, meta: &ChargeMeta, path: &str) {
-        let ev = {
+        let (ev, spent_after) = {
             let mut st = self.state.lock();
             let applied = st.budget.refund(eps);
-            st.sequence += 1;
-            let ev = SpendEvent {
-                epsilon: -applied,
-                sequence: st.sequence,
-                operator: meta.operator.clone(),
-                path: Arc::from(path),
-                label: meta.label.clone(),
-                at_ns: now_ns(),
-            };
-            st.record(ev.clone());
+            let ev = st.record(-applied, meta, path);
             (ev, st.budget.spent)
         };
-        let (ev, spent_after) = ev;
+        self.emit_charge(ev, spent_after);
+    }
+
+    /// Send one ledger entry to the bound sink. Called outside the lock:
+    /// sinks may be arbitrarily slow.
+    fn emit_charge(&self, ev: SpendEvent, spent_after: f64) {
         self.sink.emit(|| {
             Event::Charge(ChargeEvent {
-                operator: ev.operator.clone(),
-                path: ev.path.clone(),
-                label: ev.label.clone(),
+                operator: ev.operator,
+                path: ev.path,
+                label: ev.label,
                 epsilon: ev.epsilon,
                 spent_after,
                 sequence: ev.sequence,
@@ -593,6 +604,39 @@ mod tests {
         assert!(a.evicted_entries() > 0);
         let sum: f64 = paths.values().map(|t| t.epsilon).sum();
         assert!((sum - a.spent()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn spend_entries_share_the_interned_names() {
+        let a = Accountant::new(10.0);
+        let meta = ChargeMeta::new("noisy_count", None);
+        a.charge_with(1.0, &meta, "in[0]/root").unwrap();
+        a.charge_with(1.0, &ChargeMeta::new("noisy_count", None), "in[0]/root")
+            .unwrap();
+        let log = a.audit_log();
+        assert!(Arc::ptr_eq(&log[0].operator, &log[1].operator));
+        assert!(Arc::ptr_eq(&log[0].path, &log[1].path));
+        assert!(!Arc::ptr_eq(&log[0].operator, &meta.operator));
+        let (path, _) = &a.path_totals()[0];
+        assert!(Arc::ptr_eq(path, &log[0].path));
+    }
+
+    #[test]
+    fn an_idle_budget_restores_bit_for_bit() {
+        let a = Accountant::new(1.0);
+        a.charge(0.1).unwrap();
+        a.charge(0.2).unwrap();
+        let held = a.clone();
+        assert_eq!(a.idle_budget(), None, "a clone is alive");
+        drop(held);
+        a.set_sink(Some(Arc::new(dpnet_obs::MemorySink::new())));
+        assert_eq!(a.idle_budget(), None, "a sink is bound");
+        a.set_sink(None);
+        let budget = a.idle_budget().expect("sole handle");
+        let b = Accountant::restore(budget);
+        assert_eq!(b.spent().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(b.total(), 1.0);
+        assert!(b.audit_log().is_empty());
     }
 
     #[test]

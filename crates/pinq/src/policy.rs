@@ -26,6 +26,7 @@
 
 use crate::budget::Accountant;
 use crate::exec::ExecCtx;
+use crate::kernel::model::RootBudget;
 use crate::queryable::Queryable;
 use crate::rng::NoiseSource;
 use dpnet_obs::{now_ns, Event, SessionEvent};
@@ -44,10 +45,33 @@ pub struct SessionManager<T> {
     noise: NoiseSource,
     global: Accountant,
     per_analyst_cap: f64,
-    analysts: Mutex<HashMap<String, Accountant>>,
+    analysts: Mutex<HashMap<Box<str>, AnalystBook>>,
     ctx: ExecCtx,
     next_session: AtomicU64,
     open: Mutex<HashMap<u64, (Arc<str>, Accountant)>>,
+}
+
+/// One analyst's books against their cap.
+///
+/// An analyst is `Live` while anything (a session, a queryable, a caller
+/// of [`SessionManager::analyst_budget`]) holds their accountant. Once the
+/// analyst's last session closes and nothing else holds it, the entry
+/// shrinks to `Idle`: the ε spent, which with the manager's cap is all
+/// the cap check needs. The per-operator and per-path totals go; the
+/// session audit streams hold them.
+#[derive(Debug)]
+enum AnalystBook {
+    Live(Accountant),
+    Idle(f64),
+}
+
+impl AnalystBook {
+    fn spent(&self) -> f64 {
+        match self {
+            AnalystBook::Live(acct) => acct.spent(),
+            AnalystBook::Idle(spent) => *spent,
+        }
+    }
 }
 
 /// A point-in-time budget reading for one session (all values are
@@ -205,13 +229,52 @@ impl<T> SessionManager<T> {
         &self.shards
     }
 
-    /// The accountant of one analyst, creating it on first use.
+    /// The accountant of one analyst, creating it on first use and
+    /// restoring it, with its exact spend, when the analyst was idle.
     pub fn analyst_budget(&self, analyst: &str) -> Accountant {
+        let mut analysts = self.analysts.lock();
+        let book = analysts
+            .entry(Box::from(analyst))
+            .or_insert(AnalystBook::Idle(0.0));
+        match book {
+            AnalystBook::Live(acct) => acct.clone(),
+            AnalystBook::Idle(spent) => {
+                let acct = Accountant::restore(RootBudget {
+                    spent: *spent,
+                    ..RootBudget::new(self.per_analyst_cap)
+                });
+                // Only the caps are ever read: keep no spend log.
+                acct.set_log_capacity(0);
+                *book = AnalystBook::Live(acct.clone());
+                acct
+            }
+        }
+    }
+
+    /// ε spent by `analyst`. An analyst whose accountant nothing else
+    /// holds goes idle here.
+    fn settle(&self, analyst: &str) -> f64 {
+        let mut analysts = self.analysts.lock();
+        let Some(book) = analysts.get_mut(analyst) else {
+            return 0.0;
+        };
+        if let AnalystBook::Live(acct) = book {
+            // Idle books restore at the manager's cap: an analyst granted
+            // more than that stays live.
+            let idle = acct.idle_budget();
+            if let Some(budget) = idle.filter(|b| b.total == self.per_analyst_cap) {
+                *book = AnalystBook::Idle(budget.spent);
+            }
+        }
+        book.spent()
+    }
+
+    /// ε spent by `analyst`, without reviving an idle analyst.
+    fn analyst_spent(&self, analyst: &str) -> f64 {
         self.analysts
             .lock()
-            .entry(analyst.to_string())
-            .or_insert_with(|| Accountant::new(self.per_analyst_cap))
-            .clone()
+            .get(analyst)
+            .map_or(0.0, AnalystBook::spent)
     }
 
     /// Open an anonymous session for `analyst`: a queryable over the
@@ -273,13 +336,18 @@ impl<T> SessionManager<T> {
     /// return its final budget reading. Emits a `session`/`closed` event
     /// through the owner's sink. Returns `None` when no such session is
     /// open (already closed, or never opened here).
+    ///
+    /// When nothing holds the analyst's accountant any more (the
+    /// [`Session`] was dropped before closing, and the analyst has no
+    /// other session), the analyst goes idle: only their spent ε is kept.
     pub fn close(&self, id: u64) -> Option<SessionSpend> {
         let (name, acct) = self.open.lock().remove(&id)?;
+        let analyst_spent = self.settle(&name);
         let spend = SessionSpend {
             session_id: id,
             analyst: name.to_string(),
             session_spent: acct.spent(),
-            analyst_spent: self.analyst_budget(&name).spent(),
+            analyst_spent,
             analyst_cap: self.per_analyst_cap,
             global_spent: self.global.spent(),
             global_total: self.global.total(),
@@ -312,7 +380,7 @@ impl<T> SessionManager<T> {
                 session_id: id,
                 analyst: name.to_string(),
                 session_spent: acct.spent(),
-                analyst_spent: self.analyst_budget(name).spent(),
+                analyst_spent: self.analyst_spent(name),
                 analyst_cap: self.per_analyst_cap,
                 global_spent: self.global.spent(),
                 global_total: self.global.total(),
@@ -328,7 +396,7 @@ impl<T> SessionManager<T> {
             .analysts
             .lock()
             .iter()
-            .map(|(name, acct)| (name.clone(), acct.spent()))
+            .map(|(name, book)| (name.to_string(), book.spent()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -574,6 +642,114 @@ mod tests {
         let x2 = a2.queryable().noisy_count(0.01).unwrap();
         assert_eq!(x, x2);
         assert_eq!(y, y2);
+    }
+
+    fn is_idle(m: &SessionManager<u32>, analyst: &str) -> bool {
+        matches!(m.analysts.lock().get(analyst), Some(AnalystBook::Idle(_)))
+    }
+
+    /// Open a session for `analyst`, spend `eps` through it, drop it and
+    /// close it: the lifecycle a served connection goes through.
+    fn spend_and_close(m: &SessionManager<u32>, analyst: &str, eps: f64) {
+        let s = m.open(analyst);
+        s.queryable().noisy_count(eps).unwrap();
+        let id = s.id();
+        drop(s);
+        m.close(id).expect("open");
+    }
+
+    #[test]
+    fn an_analyst_cap_holds_across_close_and_reopen() {
+        let m = manager();
+        spend_and_close(&m, "ivy", 0.1);
+        spend_and_close(&m, "ivy", 0.2);
+        assert!(is_idle(&m, "ivy"));
+        // 0.1 + 0.2 is not 0.3 in f64: the idle books keep the exact sum.
+        let spent = 0.1f64 + 0.2;
+        assert_ne!(spent, 0.3);
+
+        let s = m.open("ivy");
+        assert!(!is_idle(&m, "ivy"));
+        assert_eq!(s.snapshot().analyst_spent.to_bits(), spent.to_bits());
+        assert_eq!(s.spent(), 0.0, "a new session meters only itself");
+        // Cap 0.4: 0.11 more fails only while the earlier 0.3 counts.
+        assert!(s.queryable().noisy_count(0.11).is_err());
+        s.queryable().noisy_count(0.05).unwrap();
+        assert_eq!(
+            m.analyst_budget("ivy").spent().to_bits(),
+            (spent + 0.05).to_bits()
+        );
+    }
+
+    #[test]
+    fn concurrent_sessions_of_one_analyst_share_one_cap() {
+        let m = manager();
+        let s1 = m.open("jay");
+        let s2 = m.open("jay");
+        s1.queryable().noisy_count(0.3).unwrap();
+        assert!(s2.queryable().noisy_count(0.3).is_err());
+        let id1 = s1.id();
+        drop(s1);
+        let closed = m.close(id1).expect("open");
+        assert!((closed.analyst_spent - 0.3).abs() < 1e-12);
+        // s2 still holds the analyst's accountant: it stays live.
+        assert!(!is_idle(&m, "jay"));
+        s2.queryable().noisy_count(0.1).unwrap();
+        assert!(s2.queryable().noisy_count(0.01).is_err());
+        let id2 = s2.id();
+        drop(s2);
+        m.close(id2).expect("open");
+        assert!(is_idle(&m, "jay"));
+        assert!((m.ledger()[0].1 - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_session_held_after_close_keeps_charging_the_same_budget() {
+        let m = manager();
+        let s = m.open("kim");
+        s.queryable().noisy_count(0.1).unwrap();
+        m.close(s.id()).expect("open");
+        assert!(!is_idle(&m, "kim"), "a held session keeps the analyst live");
+        s.queryable().noisy_count(0.2).unwrap();
+        assert!((m.analyst_budget("kim").spent() - 0.3).abs() < 1e-12);
+        drop(s);
+        // The next close of a kim session settles every charge above.
+        spend_and_close(&m, "kim", 0.05);
+        assert!(is_idle(&m, "kim"));
+        assert_eq!(m.ledger(), vec![("kim".to_string(), 0.1 + 0.2 + 0.05)]);
+        let s = m.open("kim");
+        assert!(s.queryable().noisy_count(0.06).is_err());
+    }
+
+    #[test]
+    fn a_granted_analyst_keeps_the_grant_after_close() {
+        let m = manager();
+        m.analyst_budget("oz").grant(0.1);
+        spend_and_close(&m, "oz", 0.35);
+        assert!(!is_idle(&m, "oz"), "an idle book cannot hold the grant");
+        let s = m.open("oz");
+        assert!((s.snapshot().analyst_cap - 0.5).abs() < 1e-12);
+        s.queryable().noisy_count(0.1).unwrap();
+        assert!(s.queryable().noisy_count(0.1).is_err());
+    }
+
+    #[test]
+    fn ledger_lists_idle_analysts_with_their_exact_spend() {
+        let m = manager();
+        spend_and_close(&m, "lea", 0.1);
+        spend_and_close(&m, "lea", 0.2);
+        spend_and_close(&m, "max", 0.3);
+        let live = m.open("ned");
+        live.queryable().noisy_count(0.05).unwrap();
+        assert!(is_idle(&m, "lea") && is_idle(&m, "max"));
+        let ledger = m.ledger();
+        let names: Vec<&str> = ledger.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["lea", "max", "ned"]);
+        assert_eq!(ledger[0].1.to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(ledger[1].1, 0.3);
+        assert_eq!(ledger[2].1, 0.05);
+        // Reading the ledger revives no one.
+        assert!(is_idle(&m, "lea") && is_idle(&m, "max"));
     }
 
     #[test]
