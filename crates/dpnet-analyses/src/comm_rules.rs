@@ -103,6 +103,7 @@ pub fn communication_rules(
     let dst_bytes = outbound.map(|p| p.dst_ip.to_be_bytes().to_vec());
     let servers = frequent_strings(
         &dst_bytes,
+        Vec::as_slice,
         &FrequentStringsConfig {
             length: 4,
             eps_per_level: cfg.eps,

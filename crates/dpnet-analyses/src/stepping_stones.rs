@@ -166,6 +166,7 @@ pub fn stepping_stones(
     let flow_bytes = acts.map(|(flow, _)| encode_flow(flow));
     let found = frequent_strings(
         &flow_bytes,
+        Vec::as_slice,
         &FrequentStringsConfig {
             length: 13,
             eps_per_level: cfg.eps,

@@ -74,11 +74,10 @@ pub fn worm_fingerprints(
     cfg: &WormConfig,
 ) -> Result<Vec<WormFinding>> {
     let plen = cfg.payload_len;
-    let payloads = packets
-        .filter(move |p| p.payload.len() >= plen)
-        .map(move |p| p.payload[..plen].to_vec());
+    let payloads = packets.filter(move |p| p.payload.len() >= plen);
     let candidates = frequent_strings(
         &payloads,
+        |p: &Packet| &p.payload,
         &FrequentStringsConfig {
             length: plen,
             eps_per_level: cfg.eps,
@@ -137,11 +136,10 @@ pub fn worm_fingerprints_with(
     // Bind the pool once: every plan materialization and partition below
     // runs chunked on it.
     let packets = packets.clone().with_ctx(ExecCtx::pool(pool));
-    let payloads = packets
-        .filter(move |p| p.payload.len() >= plen)
-        .map(move |p| p.payload[..plen].to_vec());
+    let payloads = packets.filter(move |p| p.payload.len() >= plen);
     let candidates = frequent_strings(
         &payloads,
+        |p: &Packet| &p.payload,
         &FrequentStringsConfig {
             length: plen,
             eps_per_level: cfg.eps,
@@ -217,11 +215,10 @@ pub fn worm_fingerprints_with_port(
     ports: &[u16],
 ) -> Result<Vec<PortWormFinding>> {
     let plen = cfg.payload_len;
-    let payloads = packets
-        .filter(move |p| p.payload.len() >= plen)
-        .map(move |p| p.payload[..plen].to_vec());
+    let payloads = packets.filter(move |p| p.payload.len() >= plen);
     let candidates = frequent_strings(
         &payloads,
+        |p: &Packet| &p.payload,
         &FrequentStringsConfig {
             length: plen,
             eps_per_level: cfg.eps,
@@ -332,9 +329,9 @@ pub fn worm_fingerprints_windowed(
             .collect()
     })?;
 
-    let win_bytes = windows.map(|r| r.window.clone());
     let candidates = frequent_strings(
-        &win_bytes,
+        &windows,
+        |r: &WindowRec| &r.window,
         &FrequentStringsConfig {
             length: wlen,
             eps_per_level: cfg.eps,

@@ -12,7 +12,8 @@
 //! and eagerly (`collect_protected` after every operator) — and is the
 //! measured evidence behind the lazy execution model. The
 //! `exec_group_by` group times the grouping kernel on fig1-shaped
-//! `(flow, seq)` keys.
+//! `(flow, seq)` keys, and `exec_fan_out` the fixed cost of one
+//! partitioned noisy count over worm's widest round.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpnet_obs::{install_recorder, uninstall_recorder, TraceRecorder};
@@ -31,6 +32,10 @@ const PIPELINE_N: usize = 1_000_000;
 /// Records in the grouping bench, about the size of fig1's
 /// retransmission grouping (~110k packets into ~108k groups).
 const GROUP_N: u32 = 100_000;
+
+/// Parts in the fan-out bench: worm's widest frequent-string round, 512
+/// viable prefixes × 256 byte values.
+const FAN_OUT_PARTS: u32 = 131_072;
 
 fn dataset(n: usize) -> Queryable<u32> {
     let acct = Accountant::new(f64::MAX / 2.0);
@@ -52,6 +57,20 @@ fn bench_partition(c: &mut Criterion) {
             |b, _| b.iter(|| q.partition(&keys, |&v| v % KEYS as u32).unwrap().len()),
         );
     }
+    g.finish();
+}
+
+/// One `partition_noisy_counts` of a 1-record input into 131,072 parts:
+/// the histogram is trivial, so this times what a fan-out costs per part
+/// (booking, noise draws, the key index).
+fn bench_fan_out(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exec_fan_out");
+    g.throughput(Throughput::Elements(u64::from(FAN_OUT_PARTS)));
+    let q = dataset(1);
+    let keys: Vec<u32> = (0..FAN_OUT_PARTS).collect();
+    g.bench_function("partition_noisy_counts_131072_parts", |b| {
+        b.iter(|| q.partition_noisy_counts(&keys, |&v| v, 0.1).unwrap().len())
+    });
     g.finish();
 }
 
@@ -165,6 +184,6 @@ fn bench_profiler_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_partition, bench_group_by, bench_trace_gen, bench_pipeline_depth, bench_profiler_overhead
+    targets = bench_partition, bench_fan_out, bench_group_by, bench_trace_gen, bench_pipeline_depth, bench_profiler_overhead
 }
 criterion_main!(benches);

@@ -30,7 +30,7 @@ fn bench_freqstrings(c: &mut Criterion) {
         max_viable: 128,
     };
     c.bench_function("frequent_strings_20k_len4", |b| {
-        b.iter(|| frequent_strings(&q, &cfg).unwrap())
+        b.iter(|| frequent_strings(&q, Vec::as_slice, &cfg).unwrap())
     });
 }
 

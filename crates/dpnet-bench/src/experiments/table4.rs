@@ -9,6 +9,7 @@
 use crate::datasets;
 use crate::report::{f, header, hex, Table};
 use dpnet_toolkit::freqstrings::{frequent_strings, FrequentStringsConfig};
+use dpnet_trace::Packet;
 use pinq::{Accountant, NoiseSource, Queryable};
 use std::collections::HashMap;
 
@@ -41,9 +42,7 @@ pub fn run(k: usize, eps: f64) -> (Vec<Table4Row>, String) {
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x7ab4e4);
     let q = Queryable::new(trace.packets.clone(), &budget, &noise);
-    let payloads = q
-        .filter(|p| p.payload.len() >= 8)
-        .map(|p| p.payload[..8].to_vec());
+    let payloads = q.filter(|p| p.payload.len() >= 8);
 
     // Threshold well below the k-th true count so ranking is the test.
     let kth_count = trace
@@ -54,6 +53,7 @@ pub fn run(k: usize, eps: f64) -> (Vec<Table4Row>, String) {
         .unwrap_or(0) as f64;
     let found = frequent_strings(
         &payloads,
+        |p: &Packet| &p.payload,
         &FrequentStringsConfig {
             length: 8,
             eps_per_level: eps,

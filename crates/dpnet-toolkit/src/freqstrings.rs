@@ -74,12 +74,15 @@ pub struct FrequentString {
     pub noisy_count: f64,
 }
 
-/// Run the iterative prefix-extension search over records of raw bytes
-/// (records shorter than the configured length never match any candidate).
+/// Run the iterative prefix-extension search over the bytes `bytes` reads
+/// from each record (records whose bytes are shorter than the configured
+/// length never match any candidate). The bytes are read in place — e.g.
+/// `|p: &Packet| &p.payload` — so a round allocates nothing per record.
 ///
 /// Returns surviving strings sorted by estimated count, descending.
-pub fn frequent_strings(
-    data: &Queryable<Vec<u8>>,
+pub fn frequent_strings<T: Send + Sync>(
+    data: &Queryable<T>,
+    bytes: impl Fn(&T) -> &[u8] + Copy + Send + Sync,
     cfg: &FrequentStringsConfig,
 ) -> Result<Vec<FrequentString>> {
     assert!(cfg.length > 0, "string length must be positive");
@@ -111,7 +114,10 @@ pub fn frequent_strings(
             }
             data.partition_noisy_counts(
                 &codes,
-                move |rec: &Vec<u8>| (rec.len() >= level).then(|| pack(&rec[..level])),
+                move |rec: &T| {
+                    let b = bytes(rec);
+                    (b.len() >= level).then(|| pack(&b[..level]))
+                },
                 cfg.eps_per_level,
             )?
         } else {
@@ -125,9 +131,10 @@ pub fn frequent_strings(
             }
             data.partition_noisy_counts(
                 &candidates,
-                move |rec: &Vec<u8>| {
-                    if rec.len() >= level {
-                        rec[..level].to_vec()
+                move |rec: &T| {
+                    let b = bytes(rec);
+                    if b.len() >= level {
+                        b[..level].to_vec()
                     } else {
                         Vec::new() // never a candidate at level ≥ 1
                     }
@@ -226,7 +233,7 @@ mod tests {
             threshold: 150.0,
             max_viable: 512,
         };
-        let found = frequent_strings(&q, &cfg).unwrap();
+        let found = frequent_strings(&q, Vec::as_slice, &cfg).unwrap();
         assert!(found.len() >= 3, "found {}", found.len());
         assert_eq!(found[0].bytes, planted[0].0);
         assert_eq!(found[1].bytes, planted[1].0);
@@ -245,7 +252,7 @@ mod tests {
             threshold: 150.0,
             max_viable: 512,
         };
-        frequent_strings(&q, &cfg).unwrap();
+        frequent_strings(&q, Vec::as_slice, &cfg).unwrap();
         // One partitioned count per level: 4 × 0.5.
         assert!((acct.spent() - 2.0).abs() < 1e-9, "spent {}", acct.spent());
     }
@@ -260,7 +267,9 @@ mod tests {
             threshold: 1e7,
             max_viable: 512,
         };
-        assert!(frequent_strings(&q, &cfg).unwrap().is_empty());
+        assert!(frequent_strings(&q, Vec::as_slice, &cfg)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -273,7 +282,7 @@ mod tests {
             threshold: 300.0,
             max_viable: 512,
         };
-        let found = frequent_strings(&q, &cfg).unwrap();
+        let found = frequent_strings(&q, Vec::as_slice, &cfg).unwrap();
         // Only AAAA (3000) and BBBB (900) clear 300; ABCD (400) does too.
         assert_eq!(found.len(), 3);
     }
@@ -289,7 +298,7 @@ mod tests {
             threshold: 200.0,
             max_viable: 512,
         };
-        let found = frequent_strings(&q, &cfg).unwrap();
+        let found = frequent_strings(&q, Vec::as_slice, &cfg).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].bytes, b"XYZW".to_vec());
     }
@@ -304,9 +313,74 @@ mod tests {
             threshold: 150.0,
             max_viable: 512,
         };
-        let found = frequent_strings(&q, &cfg).unwrap();
+        let found = frequent_strings(&q, Vec::as_slice, &cfg).unwrap();
         assert!(found
             .windows(2)
             .all(|w| w[0].noisy_count >= w[1].noisy_count));
+    }
+
+    /// The worm search reads each packet's payload in place through the
+    /// byte accessor. Against the form it replaced — a per-record copy of
+    /// the first 8 bytes, `map(|p| p.payload[..8].to_vec())` — it finds the
+    /// same candidates with the same noisy-count bits, spends the same ε,
+    /// leaves the noise stream at the same next draw and emits as many
+    /// `Aggregate` events, on the calling thread and on a 2-worker pool.
+    #[test]
+    fn payloads_read_in_place_match_the_copied_prefix_form() {
+        use dpnet_obs::{Event, MemorySink};
+        use dpnet_trace::gen::hotspot::{generate, HotspotConfig};
+        use dpnet_trace::Packet;
+        use pinq::{ExecCtx, ExecPool};
+        use std::sync::Arc;
+
+        let trace = generate(HotspotConfig {
+            web_flows: 250,
+            worms_above_threshold: 8,
+            worms_below_threshold: 4,
+            stepping_stone_pairs: 1,
+            interactive_decoys: 1,
+            itemset_hosts: 10,
+            ..HotspotConfig::default()
+        });
+        let cfg = FrequentStringsConfig {
+            length: 8,
+            eps_per_level: 0.1,
+            threshold: 100.0,
+            max_viable: 512,
+        };
+        let pool = ExecPool::new(2).unwrap();
+        for ctx in [ExecCtx::Sequential, ExecCtx::pool(&pool)] {
+            let run = |in_place: bool| {
+                let acct = Accountant::new(1e9);
+                let sink = Arc::new(MemorySink::new());
+                acct.set_sink(Some(sink.clone()));
+                let noise = NoiseSource::seeded(29);
+                let packets = Queryable::new(trace.packets.clone(), &acct, &noise)
+                    .with_ctx(ctx.clone())
+                    .filter(|p| p.payload.len() >= 8);
+                let found = if in_place {
+                    frequent_strings(&packets, |p: &Packet| &p.payload, &cfg)
+                } else {
+                    let copied = packets.map(|p| p.payload[..8].to_vec());
+                    frequent_strings(&copied, Vec::as_slice, &cfg)
+                }
+                .unwrap();
+                let found: Vec<(Vec<u8>, u64)> = found
+                    .into_iter()
+                    .map(|f| (f.bytes, f.noisy_count.to_bits()))
+                    .collect();
+                let aggregates = sink
+                    .events()
+                    .iter()
+                    .filter(|e| matches!(e, Event::Aggregate(_)))
+                    .count();
+                let next_draw = noise.uniform().to_bits();
+                (found, acct.spent().to_bits(), next_draw, aggregates)
+            };
+            let in_place = run(true);
+            assert!(!in_place.0.is_empty());
+            assert!(in_place.3 > 8 * 256, "{} aggregates", in_place.3);
+            assert_eq!(in_place, run(false));
+        }
     }
 }

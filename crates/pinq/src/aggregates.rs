@@ -17,13 +17,25 @@
 //! | median | exponential mechanism over candidate grid | splits off by `≈√2/ε` ranks |
 
 use crate::error::{check_epsilon, Error, Result};
-use crate::mechanisms::{exponential_mechanism_index, geometric_noise, laplace_noise};
+use crate::mechanisms::{
+    add_laplace_noise, exponential_mechanism_index, geometric_noise, laplace_noise,
+};
 use crate::rng::NoiseSource;
 
 /// Noisy count: `n + Lap(1/ε)`.
 pub fn noisy_count(noise: &NoiseSource, n: usize, eps: f64) -> Result<f64> {
     check_epsilon(eps)?;
     Ok(n as f64 + laplace_noise(noise, 1.0 / eps))
+}
+
+/// Noisy counts of many parts at one ε: `nᵢ + Lap(1/ε)` for each count, in
+/// order. The same releases as one [`noisy_count`] per count, drawn under
+/// one hold of the noise lock.
+pub fn noisy_counts(noise: &NoiseSource, counts: &[usize], eps: f64) -> Result<Vec<f64>> {
+    check_epsilon(eps)?;
+    let mut out: Vec<f64> = counts.iter().map(|&n| n as f64).collect();
+    add_laplace_noise(noise, 1.0 / eps, &mut out);
+    Ok(out)
 }
 
 /// Noisy integer count via the geometric mechanism: `n + Geom(e^{-ε})`.

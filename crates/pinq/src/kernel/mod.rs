@@ -21,8 +21,8 @@
 //!
 //! **The seal:** every mutating entry point of the shells
 //! (`Accountant::charge_with`, `ChargeNode::charge_traced`,
-//! `PartitionLedger::charge_child_traced`, the node/ledger constructors, …)
-//! is `pub(in crate::kernel)`. The rest of the crate composes privacy
+//! `PartitionLedger::charge_child_traced`/`charge_parts`, the node/ledger
+//! constructors, …) is `pub(in crate::kernel)`. The rest of the crate composes privacy
 //! state exclusively through the oblivious functions below — it can hold
 //! and describe `ChargeNode`s but cannot construct them or move ε
 //! through them except via this module. CI enforces the boundary with the
@@ -158,6 +158,31 @@ pub(crate) fn charge_prepared(node: &ChargeNode, eps: f64, prep: &PreparedCharge
     }
 }
 
+/// Spend `eps` on parts `0..n` of `parts`, in part order, as one kernel
+/// transition: the ledger lock is taken once for the whole fan-out. The
+/// max-of-parts rule is a pure function of the part spends, so this books,
+/// forwards, narrates paths and stops at the first refusal exactly as `n`
+/// in-order [`charge_prepared`] calls on [`PartitionParts::part`] nodes
+/// would, and records the same per-part EXPLAIN traces when a recorder is
+/// installed. Returns how many parts were charged (all `n` on `Ok`) and
+/// the refusal, if any.
+pub(crate) fn charge_fan_out(
+    parts: &PartitionParts,
+    n: usize,
+    eps: f64,
+    prep: &PreparedCharge,
+) -> (usize, Result<()>) {
+    match crate::explain::recorder() {
+        Some(rec) => {
+            let mut record = |index: usize, trace: &[(String, f64)]| {
+                rec.record(prep.operator, &parts.part(index).describe(), eps, trace);
+            };
+            parts.0.charge_parts(n, eps, &prep.meta, Some(&mut record))
+        }
+        None => parts.0.charge_parts(n, eps, &prep.meta, None),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Prediction — pure queries answered by compiling snapshots into the
 // model and walking them with `model::predict`.
@@ -233,6 +258,7 @@ fn compile_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn shared_root_collapses_single_budget() {
@@ -281,5 +307,173 @@ mod tests {
         // Beyond the max only the increase forwards.
         let beyond = predict_tree(&parts[1].snapshot(), 0.5);
         assert_eq!(beyond, vec![("part[1]/scale(x1)/root".to_string(), 0.2)]);
+    }
+
+    /// A fan-out's starting state: a root of budget `total`, pre-spent by
+    /// `root_pre`; when `sibling` is set, an outer two-way partition whose
+    /// part 0 is pre-spent by it and whose part 1 is the parent; then a
+    /// ×`factor` ledger of `parts` parts, some pre-charged by `pre`.
+    #[derive(Debug)]
+    struct FanOutCase {
+        total: f64,
+        root_pre: f64,
+        sibling: Option<f64>,
+        factor: f64,
+        parts: usize,
+        pre: Vec<(usize, f64)>,
+        n: usize,
+        eps: f64,
+    }
+
+    /// What an owner can observe after a fan-out: the charged-prefix
+    /// length, the refusal, `spent()` bits, the ledger's part spends, and
+    /// the audit log as (operator, path, ε bits, sequence).
+    #[derive(Debug, PartialEq)]
+    struct FanOutBooks {
+        charged: usize,
+        refusal: Option<crate::error::Error>,
+        spent: u64,
+        spends: Vec<u64>,
+        audit: Vec<(String, String, u64, u64)>,
+    }
+
+    fn fan_out_world(case: &FanOutCase) -> (Accountant, PartitionParts) {
+        let acct = Accountant::new(case.total);
+        let root = root_node(&acct);
+        let pre = prepare("pre", None);
+        let _ = charge_prepared(&root, case.root_pre, &pre);
+        let parent = match case.sibling {
+            Some(sibling) => {
+                let outer = partition_parts(&root, 1.0, 2);
+                let _ = charge_prepared(&outer.part(0), sibling, &pre);
+                Arc::new(outer.part(1))
+            }
+            None => root,
+        };
+        let parts = partition_parts(&parent, case.factor, case.parts);
+        for &(index, eps) in &case.pre {
+            let _ = charge_prepared(&parts.part(index % case.parts), eps, &pre);
+        }
+        (acct, parts)
+    }
+
+    /// Run `case`'s fan-out batched (one `charge_fan_out`) or as `n`
+    /// in-order `charge_prepared` calls stopping at the first refusal.
+    fn fan_out_books(case: &FanOutCase, batched: bool) -> FanOutBooks {
+        let (acct, parts) = fan_out_world(case);
+        let prep = prepare("noisy_count", None);
+        let (charged, booked) = if batched {
+            charge_fan_out(&parts, case.n, case.eps, &prep)
+        } else {
+            let refused = (0..case.n)
+                .map(|i| (i, charge_prepared(&parts.part(i), case.eps, &prep)))
+                .find(|(_, r)| r.is_err());
+            refused.unwrap_or((case.n, Ok(())))
+        };
+        FanOutBooks {
+            charged,
+            refusal: booked.err(),
+            spent: acct.spent().to_bits(),
+            spends: parts.0.spends().iter().map(|s| s.to_bits()).collect(),
+            audit: acct
+                .audit_log()
+                .iter()
+                .map(|e| {
+                    let (op, path) = (e.operator.to_string(), e.path.to_string());
+                    (op, path, e.epsilon.to_bits(), e.sequence)
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `charge_fan_out` is `n` in-order `charge_prepared` calls: the
+        /// same charged prefix, refusal, spend bits, part spends and audit
+        /// log, over random budgets, ε, stabilities, part counts, pre-spent
+        /// parents and pre-charged parts (which make later parts forward,
+        /// and so make refusals land partway through a fan-out).
+        #[test]
+        fn charge_fan_out_equals_in_order_part_charges(
+            total_units in 0u32..4096,
+            root_pre_units in 0u32..1024,
+            sibling_units in 0u32..2048,
+            nested in any::<bool>(),
+            factor_halves in 1u32..8,
+            n in 1usize..301,
+            extra_parts in 0usize..3,
+            pre in proptest::collection::vec((0usize..400, 1u32..1024), 0..8),
+            eps_units in 1u32..512,
+        ) {
+            let case = FanOutCase {
+                total: f64::from(total_units) / 1024.0,
+                root_pre: f64::from(root_pre_units) / 1024.0,
+                sibling: nested.then(|| f64::from(sibling_units) / 1024.0),
+                factor: f64::from(factor_halves) / 2.0,
+                parts: n + extra_parts,
+                pre: pre.iter().map(|&(i, u)| (i, f64::from(u) / 1024.0)).collect(),
+                n,
+                eps: f64::from(eps_units) / 1024.0,
+            };
+            let batched = fan_out_books(&case, true);
+            prop_assert_eq!(&batched, &fan_out_books(&case, false), "{:?}", case);
+        }
+    }
+
+    #[test]
+    fn a_fan_out_refused_partway_keeps_its_charged_prefix() {
+        // Part 2 is pre-charged to 0.5, so at ε 0.25 parts 0 and 1 are
+        // absorbed and part 2 must forward 0.25, which the 0.6 budget
+        // cannot afford.
+        let case = FanOutCase {
+            total: 0.6,
+            root_pre: 0.0,
+            sibling: None,
+            factor: 1.0,
+            parts: 4,
+            pre: vec![(2, 0.5)],
+            n: 4,
+            eps: 0.25,
+        };
+        let batched = fan_out_books(&case, true);
+        assert_eq!(batched, fan_out_books(&case, false));
+        assert_eq!(batched.charged, 2);
+        assert!(batched.refusal.is_some());
+        assert_eq!(batched.spends, [0.25f64, 0.25, 0.5, 0.0].map(f64::to_bits));
+    }
+
+    #[test]
+    fn charge_fan_out_records_the_per_part_explain_traces() {
+        let _guard = crate::explain::test_global_guard();
+        // ×13 appears in no other test, so the recorder's entries for this
+        // run are identifiable although the recorder is process-global.
+        let case = FanOutCase {
+            total: 10.0,
+            root_pre: 0.0,
+            sibling: Some(0.5),
+            factor: 13.0,
+            parts: 5,
+            pre: vec![(3, 0.1)],
+            n: 5,
+            eps: 0.05,
+        };
+        let traces = |batched: bool| {
+            let rec = Arc::new(crate::explain::ExplainRecorder::new());
+            crate::explain::install_explain_recorder(rec.clone());
+            fan_out_books(&case, batched);
+            crate::explain::uninstall_explain_recorder();
+            let report = rec.report();
+            let full: Vec<(String, u64, u64)> = report
+                .full_paths
+                .iter()
+                .filter(|p| p.path.contains("scale(x13)"))
+                .map(|p| (p.path.clone(), p.calls, p.predicted_eps.to_bits()))
+                .collect();
+            full
+        };
+        let batched = traces(true);
+        assert_eq!(batched, traces(false));
+        assert_eq!(batched.len(), 5, "{batched:?}");
     }
 }

@@ -19,6 +19,10 @@ use crate::error::Result;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
+/// Receives each charged part's index and per-root trace in a traced
+/// [`PartitionLedger::charge_parts`].
+pub(in crate::kernel) type PartTraceSink<'a> = &'a mut dyn FnMut(usize, &[(String, f64)]);
+
 /// Shared accounting state for the parts of one `Partition` operation: a
 /// kernel [`LedgerBook`] (per-part spends plus the incrementally
 /// maintained maximum — charges stay O(1) because only the incremented
@@ -75,7 +79,58 @@ impl PartitionLedger {
         prefix: &str,
         trace: &mut Option<&mut Vec<(String, f64)>>,
     ) -> Result<()> {
+        self.charge_locked(&mut self.book.lock(), index, eps, meta, prefix, trace)
+    }
+
+    /// Charge `eps` on parts `0..n`, in order, under one hold of the ledger
+    /// lock: the same books, forwards, paths and refusal as `n` in-order
+    /// [`PartitionLedger::charge_child_traced`] calls with an empty prefix.
+    /// Stops at the first refusal, which leaves that part and every later
+    /// one uncharged. Returns how many parts were charged, and the refusal
+    /// if there was one. With `record`, each charged part's per-root trace
+    /// is handed to it while the lock is held; a refused part's trace is
+    /// discarded.
+    pub(in crate::kernel) fn charge_parts(
+        &self,
+        n: usize,
+        eps: f64,
+        meta: &ChargeMeta,
+        mut record: Option<PartTraceSink<'_>>,
+    ) -> (usize, Result<()>) {
         let mut book = self.book.lock();
+        let mut trace = Vec::new();
+        for index in 0..n {
+            let charged = match record.as_mut() {
+                None => self.charge_locked(&mut book, index, eps, meta, "", &mut None),
+                Some(record) => {
+                    trace.clear();
+                    let r =
+                        self.charge_locked(&mut book, index, eps, meta, "", &mut Some(&mut trace));
+                    if r.is_ok() {
+                        record(index, &trace);
+                    }
+                    r
+                }
+            };
+            if let Err(e) = charged {
+                return (index, Err(e));
+            }
+        }
+        (n, Ok(()))
+    }
+
+    /// One part charge against a held book: the body of
+    /// [`PartitionLedger::charge_child_traced`] and of each step of
+    /// [`PartitionLedger::charge_parts`].
+    fn charge_locked(
+        &self,
+        book: &mut LedgerBook,
+        index: usize,
+        eps: f64,
+        meta: &ChargeMeta,
+        prefix: &str,
+        trace: &mut Option<&mut Vec<(String, f64)>>,
+    ) -> Result<()> {
         // The forwarding decision is the kernel model's rule, verbatim;
         // the book is committed only after the upstream charge succeeds,
         // so a parent failure leaves the ledger untouched.

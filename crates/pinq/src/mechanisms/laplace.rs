@@ -9,7 +9,7 @@
 //! at accuracy ε draws `Lap(1/ε)` — standard deviation `√2/ε`, exactly the
 //! figure in the paper's Table 1.
 
-use crate::rng::NoiseSource;
+use crate::rng::{centered_uniform, NoiseSource};
 
 /// Draw one sample from the Laplace distribution with the given `scale`
 /// (must be positive and finite) using inverse-CDF sampling.
@@ -21,7 +21,27 @@ pub fn laplace_noise(noise: &NoiseSource, scale: f64) -> f64 {
         scale.is_finite() && scale > 0.0,
         "bad Laplace scale {scale}"
     );
-    let u = noise.centered_uniform();
+    inverse_cdf(noise.centered_uniform(), scale)
+}
+
+/// Add one [`laplace_noise`] draw at `scale` to each of `values`, in order,
+/// holding the noise lock once for the batch. The draws are the ones
+/// `values.len()` calls to [`laplace_noise`] would take, so
+/// `v + laplace_noise(noise, scale)` per value gives the same bits.
+pub fn add_laplace_noise(noise: &NoiseSource, scale: f64, values: &mut [f64]) {
+    debug_assert!(
+        scale.is_finite() && scale > 0.0,
+        "bad Laplace scale {scale}"
+    );
+    noise.with_rng(|rng| {
+        for v in values {
+            *v += inverse_cdf(centered_uniform(rng), scale);
+        }
+    });
+}
+
+/// The inverse-CDF map from `u ~ Uniform(-1/2, 1/2)` to `Lap(scale)`.
+fn inverse_cdf(u: f64, scale: f64) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
@@ -77,6 +97,22 @@ mod tests {
         let positives = (0..n).filter(|_| laplace_noise(&src, 1.0) > 0.0).count() as f64;
         let frac = positives / n as f64;
         assert!((frac - 0.5).abs() < 0.01, "positive fraction {frac}");
+    }
+
+    #[test]
+    fn batched_draws_take_the_single_draw_sequence() {
+        let (one, batch) = (NoiseSource::seeded(23), NoiseSource::seeded(23));
+        let counts = [0.0, 7.0, 131_072.0, 3.5];
+        let singles: Vec<u64> = counts
+            .iter()
+            .map(|&n| (n + laplace_noise(&one, 10.0)).to_bits())
+            .collect();
+        let mut batched = counts;
+        add_laplace_noise(&batch, 10.0, &mut batched);
+        let batched: Vec<u64> = batched.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(batched, singles);
+        // Both sources stand at the same point of the stream afterwards.
+        assert_eq!(one.uniform().to_bits(), batch.uniform().to_bits());
     }
 
     #[test]

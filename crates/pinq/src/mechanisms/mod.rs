@@ -17,4 +17,4 @@ pub mod laplace;
 
 pub use exponential::{exponential_mechanism, exponential_mechanism_index};
 pub use geometric::geometric_noise;
-pub use laplace::{laplace_noise, laplace_std};
+pub use laplace::{add_laplace_noise, laplace_noise, laplace_std};

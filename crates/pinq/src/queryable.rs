@@ -1104,17 +1104,20 @@ impl<T> Queryable<T> {
     ///   scaling, charged once per part *in part order* with the same
     ///   `noisy_count` provenance, so ε accounting, explain traces, and
     ///   failure behavior (parts before the failing one stay charged) match
-    ///   the unbatched form exactly;
-    /// - noise is drawn from the shared stream once per part, in part
-    ///   order, on the calling thread — the same draws the unbatched form
-    ///   takes;
+    ///   the unbatched form exactly. The whole fan-out is one kernel
+    ///   transition ([`kernel::charge_fan_out`]): one ledger lock, not one
+    ///   per part;
+    /// - noise is drawn from the shared stream once per charged part, in
+    ///   part order, on the calling thread, under one hold of the noise
+    ///   lock — the same draws the unbatched form takes;
     /// - only a key histogram is computed (streamed over the fused chain
     ///   when nothing has materialized): the per-part record buffers never
     ///   exist. A 256-way fan-out costs one pass and 256 integers instead
     ///   of 256 allocations;
-    /// - per-part `Aggregate` events, and the timers behind them, are
+    /// - per-part `Aggregate` events, and the timer behind them, are
     ///   produced only when a sink is bound, and then match the unbatched
-    ///   form's event for event.
+    ///   form's event for event (each part's wall time is its share of the
+    ///   fan-out's).
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key,
     /// like [`Queryable::partition`].
@@ -1176,24 +1179,28 @@ impl<T> Queryable<T> {
             }
         };
         prof.set_records(counts.iter().sum::<usize>() as u64);
-        // The ledger and part nodes the unbatched form builds in
-        // `wrap_parts`: parts charge through one shared ledger scaled by
-        // this queryable's stability; each part's own stability is 1.
+        // The ledger the unbatched form builds in `wrap_parts`: parts
+        // charge through one shared ledger scaled by this queryable's
+        // stability; each part's own stability is 1. One kernel transition
+        // books parts in order up to the first refusal, and the charged
+        // prefix then draws its noise in part order.
         let ledger = kernel::partition_parts(&self.charge, self.stability, keys.len());
         let prep = kernel::prepare("noisy_count", self.label.clone());
-        // The sink is resolved once per fan-out, and a part is timed only
-        // when its event has somewhere to go: unobserved, a part costs one
-        // ledger update and one draw.
         let sink = self.sink.resolve();
-        let mut out = Vec::with_capacity(keys.len());
-        for (index, &n) in counts.iter().enumerate() {
-            let observed = sink.as_ref().map(|sink| (sink, SpanTimer::start()));
-            let r = kernel::charge_prepared(&ledger.part(index), eps, &prep)
-                .and_then(|()| aggregates::noisy_count(&self.noise, n, eps));
-            if let Some((sink, part_timer)) = observed {
-                // Per-part events mirror the unbatched per-part
-                // noisy_count: stability 1, eps charged when the part's
-                // release succeeded.
+        let timer = sink.as_ref().map(|_| SpanTimer::start());
+        let (charged, booked) = kernel::charge_fan_out(&ledger, keys.len(), eps, &prep);
+        let released = aggregates::noisy_counts(&self.noise, &counts[..charged], eps)?;
+        if let (Some(sink), Some(timer)) = (sink, timer) {
+            // Per-part events mirror the unbatched per-part noisy_count:
+            // stability 1, ε charged for each released part, and one
+            // event for the refused part. A part's wall time is its share
+            // of the fan-out's booking and draws.
+            let refusal = booked.as_ref().err().map(|e| Err(e.clone()));
+            let events = charged + usize::from(refusal.is_some());
+            let wall_ns = timer.elapsed_ns() / events.max(1) as u64;
+            let results = released.iter().map(|&x| Ok(x)).chain(refusal);
+            for (r, &n) in results.zip(&counts) {
+                let _ = n; // read only under `trusted-owner`
                 let outcome = outcome_of(&r);
                 sink.emit(&Event::Aggregate(AggregateEvent {
                     operator: "noisy_count",
@@ -1203,16 +1210,15 @@ impl<T> Queryable<T> {
                     eps_requested: eps,
                     eps_charged: if outcome == Outcome::Ok { eps } else { 0.0 },
                     outcome,
-                    released: r.as_ref().ok().copied(),
-                    wall_ns: part_timer.elapsed_ns(),
-                    at_ns: part_timer.started_at_ns(),
+                    released: r.ok(),
+                    wall_ns,
+                    at_ns: timer.started_at_ns(),
                     #[cfg(feature = "trusted-owner")]
                     input_records: n as u64,
                 }));
             }
-            out.push(r?);
         }
-        Ok(out)
+        booked.map(|()| released)
     }
 
     // ------------------------------------------------------------------

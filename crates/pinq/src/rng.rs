@@ -55,6 +55,18 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     )
 }
 
+/// The draw behind [`NoiseSource::centered_uniform`], on an RNG the caller
+/// already holds (see [`NoiseSource::with_rng`]), so a batch of draws takes
+/// the lock once and the same sequence as one call per draw.
+pub(crate) fn centered_uniform(rng: &mut StdRng) -> f64 {
+    loop {
+        let u = rng.gen::<f64>() - 0.5;
+        if u > -0.5 {
+            return u;
+        }
+    }
+}
+
 /// A cloneable, thread-safe source of randomness shared by every queryable
 /// derived from the same protected dataset.
 #[derive(Clone)]
@@ -98,12 +110,7 @@ impl NoiseSource {
     /// Draw a uniform sample in the open interval `(-0.5, 0.5)`, never
     /// exactly `-0.5` (so that `ln(1 - 2|u|)` stays finite).
     pub fn centered_uniform(&self) -> f64 {
-        loop {
-            let u = self.inner.lock().gen::<f64>() - 0.5;
-            if u > -0.5 {
-                return u;
-            }
-        }
+        centered_uniform(&mut self.inner.lock())
     }
 
     /// Run a closure with exclusive access to the underlying RNG. Used by

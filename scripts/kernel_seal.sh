@@ -30,6 +30,7 @@ patterns=(
     '.charge_traced('
     '.refund_with('
     '.charge_child_traced('
+    '.charge_parts('
     '.refund_child_with('
     '.predict_into('
     'ChargeMeta'
