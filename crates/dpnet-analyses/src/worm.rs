@@ -519,7 +519,7 @@ mod tests {
                 flags: dpnet_trace::TcpFlags::ack(),
                 seq: i as u32,
                 ack: 0,
-                payload: payload.to_vec(),
+                payload: payload.into(),
             })
             .collect()
     }

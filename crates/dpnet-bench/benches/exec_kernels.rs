@@ -12,12 +12,14 @@
 //! and eagerly (`collect_protected` after every operator) — and is the
 //! measured evidence behind the lazy execution model. The
 //! `exec_group_by` group times the grouping kernel on fig1-shaped
-//! `(flow, seq)` keys, and `exec_fan_out` the fixed cost of one
+//! `(flow, seq)` keys, over payload-free tuples and over fig1's own
+//! filtered Hotspot packets, and `exec_fan_out` the fixed cost of one
 //! partitioned noisy count over worm's widest round.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpnet_obs::{install_recorder, uninstall_recorder, TraceRecorder};
 use dpnet_trace::flow::FlowKey;
+use dpnet_trace::gen::hotspot::{self, HotspotConfig};
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::sync::Arc;
@@ -98,6 +100,22 @@ fn bench_group_by(c: &mut Criterion) {
     let q = Queryable::new(records, &acct, &noise);
     g.bench_function("group_by_100k_flow_seq", |b| {
         b.iter(|| q.group_by(|r| (r.0, r.1)).stability())
+    });
+    // fig1's own barrier on the seed-11 Hotspot trace: the filter memo and
+    // the member lists clone whole packets, payloads included, which the
+    // tuple case above cannot see.
+    let packets = hotspot::generate(HotspotConfig {
+        seed: 11,
+        ..HotspotConfig::default()
+    })
+    .packets;
+    let q = Queryable::new(packets, &acct, &noise);
+    g.bench_function("group_by_hotspot_flow_seq", |b| {
+        b.iter(|| {
+            q.filter(|p| FlowKey::of(p).is_tcp() && !p.flags.is_syn() && !p.payload.is_empty())
+                .group_by(|p| (FlowKey::of(p), p.seq))
+                .stability()
+        })
     });
     g.finish();
 }

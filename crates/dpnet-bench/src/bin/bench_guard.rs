@@ -676,6 +676,18 @@ fn check_fixture_text(name: &str, text: &str) -> Result<String, String> {
                 }
                 return Ok(format!("schema_version {v}, latency percentiles present"));
             }
+            if profile_report_target(name).is_some() {
+                // `repro --workers N <id>` writes the same file name as
+                // `dpnet profile <id> --workers N`, but records no spans:
+                // a profile fixture must attribute every experiment.
+                if !text.contains("\"attribution\":[") || text.contains("\"attribution\":[]") {
+                    return Err(format!(
+                        "schema_version {v} but an experiment has no attribution — \
+                         written by `repro --workers N`, not `dpnet profile`"
+                    ));
+                }
+                return Ok(format!("schema_version {v}, attribution present"));
+            }
             Ok(format!("schema_version {v}"))
         }
         Some(v) => Err(format!(
@@ -1280,6 +1292,26 @@ mod tests {
         );
         let status = check_fixture_text("BENCH_serve.json", &full).unwrap();
         assert!(status.contains("latency percentiles present"), "{status}");
+    }
+
+    #[test]
+    fn profile_fixtures_require_attribution() {
+        let report = |attribution: &str| {
+            format!(
+                "{{\"schema_version\":{SCHEMA_VERSION},\"target\":\"fig1-w4\",\
+                 \"experiments\":[{{\"id\":\"fig1\",\"wall_ns\":1,\"eps_charged\":6,\
+                 \"phases\":[],\"attribution\":[{attribution}]}}]}}"
+            )
+        };
+        // What `repro --workers 4 fig1` writes: the profile's name, no spans.
+        let reason = check_fixture_text("BENCH_fig1-w4.json", &report("")).unwrap_err();
+        assert!(reason.contains("repro --workers N"), "{reason}");
+        // What `dpnet profile fig1 --workers 4` writes.
+        let profiled = report("{\"name\":\"group_by\",\"count\":1,\"total_ns\":9,\"self_ns\":9}");
+        let status = check_fixture_text("BENCH_fig1-w4.json", &profiled).unwrap();
+        assert!(status.contains("attribution present"), "{status}");
+        // Reports that are not profiles may carry empty attribution.
+        assert!(check_fixture_text("BENCH_baseline.json", &report("")).is_ok());
     }
 
     #[test]

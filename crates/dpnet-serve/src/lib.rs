@@ -68,7 +68,7 @@ pub(crate) mod testdata {
                 flags: TcpFlags::new(i % 11 == 0, true, false, false, i % 5 == 0),
                 seq: i * 1000,
                 ack: i * 500,
-                payload: Vec::new(),
+                payload: Vec::new().into(),
             })
             .collect()
     }

@@ -24,7 +24,7 @@ fn packets(n: u32) -> Vec<Packet> {
             flags: TcpFlags::ack(),
             seq: i * 1000,
             ack: i * 500,
-            payload: Vec::new(),
+            payload: Vec::new().into(),
         })
         .collect()
 }

@@ -107,7 +107,7 @@ mod tests {
             flags,
             seq: ts as u32,
             ack: 0,
-            payload: vec![0; payload],
+            payload: vec![0; payload].into(),
         }
     }
 

@@ -17,6 +17,7 @@ use crate::packet::{Packet, Proto, TcpFlags};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// File magic: "DPNT".
 pub const MAGIC: [u8; 4] = *b"DPNT";
@@ -132,7 +133,8 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Packet>, FormatError> {
         if buf.remaining() < plen as usize {
             return Err(FormatError::Truncated);
         }
-        let payload = buf.copy_to_bytes(plen as usize).to_vec();
+        let payload = Arc::from(&buf[..plen as usize]);
+        buf.advance(plen as usize);
         packets.push(Packet {
             ts_us,
             src_ip,
@@ -167,7 +169,7 @@ mod tests {
                 flags: TcpFlags::syn(),
                 seq: 1000,
                 ack: 0,
-                payload: vec![],
+                payload: vec![].into(),
             },
             Packet {
                 ts_us: 456,
@@ -180,7 +182,7 @@ mod tests {
                 flags: TcpFlags::default(),
                 seq: 0,
                 ack: 0,
-                payload: b"GET / HTTP/1.1".to_vec(),
+                payload: b"GET / HTTP/1.1"[..].into(),
             },
         ]
     }
@@ -260,7 +262,7 @@ mod tests {
                 flags: TcpFlags::ack(),
                 seq: i,
                 ack: i,
-                payload: vec![(i % 256) as u8; (i % 16) as usize],
+                payload: vec![(i % 256) as u8; (i % 16) as usize].into(),
             });
         }
         let mut buf = Vec::new();

@@ -14,6 +14,7 @@
 use crate::packet::{format_ip, parse_ip, Packet, Proto, TcpFlags};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 /// Errors from parsing the text format.
 #[derive(Debug)]
@@ -95,14 +96,19 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+/// Decode a hex payload straight into its shared buffer: the digits are
+/// checked first, so the collect knows its length and allocates once.
+fn hex_decode(s: &str) -> Option<Arc<[u8]>> {
+    let digits = s.as_bytes();
+    if digits.len() % 2 != 0 || !digits.iter().all(u8::is_ascii_hexdigit) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let nibble = |b: u8| (b as char).to_digit(16).unwrap_or(0) as u8;
+    Some(
+        (0..digits.len() / 2)
+            .map(|i| nibble(digits[2 * i]) << 4 | nibble(digits[2 * i + 1]))
+            .collect(),
+    )
 }
 
 /// Render one packet as a line (no trailing newline).
@@ -196,7 +202,7 @@ pub fn parse_packet(line: &str) -> Result<Packet, String> {
         .map_err(|_| "bad len".to_string())?;
     let payload_tok = field("payload", 12, 13)?;
     let payload = if payload_tok == "-" {
-        Vec::new()
+        Arc::from([])
     } else {
         hex_decode(payload_tok).ok_or_else(|| "bad payload hex".to_string())?
     };
@@ -260,7 +266,7 @@ mod tests {
             flags: TcpFlags::syn(),
             seq: 1000,
             ack: 0,
-            payload: vec![0x47, 0x45, 0x54],
+            payload: Arc::from([0x47, 0x45, 0x54]),
         }
     }
 
@@ -281,7 +287,7 @@ mod tests {
     #[test]
     fn empty_payload_round_trips() {
         let mut p = sample();
-        p.payload.clear();
+        p.payload = Arc::from([]);
         p.flags = TcpFlags::default();
         assert_eq!(parse_packet(&format_packet(&p)).unwrap(), p);
     }
@@ -302,7 +308,7 @@ mod tests {
             let mut p = sample();
             p.ts_us = i as u64 * 1000;
             p.seq = i;
-            p.payload = vec![(i % 256) as u8; (i % 5) as usize];
+            p.payload = vec![(i % 256) as u8; (i % 5) as usize].into();
             packets.push(p);
         }
         let mut text = String::from("# generated trace\n\n");
@@ -329,6 +335,8 @@ mod tests {
             (good.replace("tcp", "xyz"), "protocol"),
             (good.replace(" S ", " Z "), "flags"),
             (good.replace("474554", "47455"), "odd hex"),
+            (good.replace("474554", "+f4554"), "sign in hex"),
+            (good.replace("474554", "4é5"), "non-ASCII hex"),
             (good.replace("1.500123", "1.5123"), "micros width"),
             (good.replace(" > ", " < "), "separator"),
             (good.replace(":80 ", " "), "endpoint"),

@@ -29,6 +29,8 @@ use crate::gen::util::{exponential, lognormal, Categorical, Zipf};
 use crate::packet::{Packet, Proto, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Tuning knobs for the Hotspot generator. `Default` gives a trace of a few
 /// hundred thousand packets that runs every experiment in seconds; scale
@@ -169,13 +171,6 @@ pub struct HotspotTrace {
 pub const SHARD_RECORDS: usize = 1 << 16;
 
 impl HotspotTrace {
-    /// The trace in columnar (SoA, dictionary-encoded) form. Payloads come
-    /// from the generator's pooled strings, so the dictionary is a few
-    /// hundred entries regardless of packet count.
-    pub fn columns(&self) -> crate::columns::PacketColumns {
-        crate::columns::PacketColumns::from_packets(&self.packets)
-    }
-
     /// The trace as `Arc`-shared row shards of [`SHARD_RECORDS`] packets,
     /// in timestamp order — the form protected views are built from
     /// (`pinq::Queryable::from_shared_shards`) without cloning the trace
@@ -200,6 +195,8 @@ struct Gen {
     rng: StdRng,
     cfg: HotspotConfig,
     packets: Vec<Packet>,
+    /// The one allocation every payload-free packet shares.
+    empty: Arc<[u8]>,
     truth: HotspotTruth,
     next_client: u32,
     next_server: u32,
@@ -211,6 +208,7 @@ impl Gen {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             packets: Vec::new(),
+            empty: Arc::from([]),
             truth: HotspotTruth::default(),
             next_client: 0x0a00_0001, // 10.0.0.1 and up: hotspot clients
             next_server: 0x0808_0001, // public space: servers
@@ -249,7 +247,7 @@ impl Gen {
         flags: TcpFlags,
         seq: u32,
         ack: u32,
-        payload: Vec<u8>,
+        payload: Arc<[u8]>,
     ) -> Packet {
         let len = (ACK_LEN as usize + payload.len()).min(u16::MAX as usize) as u16;
         Packet {
@@ -267,14 +265,21 @@ impl Gen {
         }
     }
 
+    /// `payload_len` random bytes.
+    fn random_payload(&mut self) -> Arc<[u8]> {
+        let mut bytes = vec![0u8; self.cfg.payload_len];
+        self.rng.fill(&mut bytes[..]);
+        bytes.into()
+    }
+
     /// Build the Zipf payload pool used by web flows. Payload strings are
-    /// distinct `payload_len`-byte blobs.
-    fn make_payload_pool(&mut self) -> Vec<Vec<u8>> {
+    /// distinct `payload_len`-byte blobs, each one allocation that every
+    /// packet carrying it shares.
+    fn make_payload_pool(&mut self) -> Vec<Arc<[u8]>> {
         let mut pool = Vec::with_capacity(self.cfg.payload_pool);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         while pool.len() < self.cfg.payload_pool {
-            let mut s = vec![0u8; self.cfg.payload_len];
-            self.rng.fill(&mut s[..]);
+            let s = self.random_payload();
             if seen.insert(s.clone()) {
                 pool.push(s);
             }
@@ -290,7 +295,7 @@ impl Gen {
     /// many.
     fn web_flow(
         &mut self,
-        pool: &[Vec<u8>],
+        pool: &[Arc<[u8]>],
         zipf: &Zipf,
         servers: &[u32],
         server_zipf: &Zipf,
@@ -331,7 +336,7 @@ impl Gen {
                 flags: TcpFlags::default(),
                 seq: 0,
                 ack: 0,
-                payload: vec![0x00, 0x01, 0x01, 0x00],
+                payload: Arc::from([0x00, 0x01, 0x01, 0x00]),
             };
             let mut response = query.clone();
             response.ts_us = t_dns + self.rng.gen_range(1_000..25_000);
@@ -359,7 +364,7 @@ impl Gen {
                 TcpFlags::syn(),
                 isn,
                 0,
-                vec![],
+                self.empty.clone(),
             ));
             t_c += self.rng.gen_range(10_000..60_000);
             self.push(Self::tcp_packet(
@@ -371,7 +376,7 @@ impl Gen {
                 TcpFlags::syn_ack(),
                 isn ^ 7,
                 isn.wrapping_add(1),
-                vec![],
+                self.empty.clone(),
             ));
             t_c += 300;
             self.push(Self::tcp_packet(
@@ -383,7 +388,7 @@ impl Gen {
                 TcpFlags::ack(),
                 isn.wrapping_add(1),
                 (isn ^ 7).wrapping_add(1),
-                vec![],
+                self.empty.clone(),
             ));
         }
 
@@ -408,7 +413,7 @@ impl Gen {
     #[allow(clippy::too_many_arguments)]
     fn web_connection(
         &mut self,
-        pool: &[Vec<u8>],
+        pool: &[Arc<[u8]>],
         zipf: &Zipf,
         client: u32,
         server: u32,
@@ -432,7 +437,7 @@ impl Gen {
             TcpFlags::syn(),
             isn_c,
             0,
-            vec![],
+            self.empty.clone(),
         ));
         self.push(Self::tcp_packet(
             t0 + rtt,
@@ -443,7 +448,7 @@ impl Gen {
             TcpFlags::syn_ack(),
             isn_s,
             isn_c.wrapping_add(1),
-            vec![],
+            self.empty.clone(),
         ));
         self.push(Self::tcp_packet(
             t0 + rtt + 200,
@@ -454,7 +459,7 @@ impl Gen {
             TcpFlags::ack(),
             isn_c.wrapping_add(1),
             isn_s.wrapping_add(1),
-            vec![],
+            self.empty.clone(),
         ));
 
         // Request from the client: a mid-sized packet.
@@ -469,7 +474,7 @@ impl Gen {
             TcpFlags::new(false, true, false, false, true),
             isn_c.wrapping_add(1),
             isn_s.wrapping_add(1),
-            vec![0x47; req_len], // 'G'
+            vec![0x47; req_len].into(), // 'G'
         ));
 
         // Server data packets.
@@ -506,9 +511,7 @@ impl Gen {
             let payload = if dlen >= self.cfg.payload_len && self.rng.gen::<f64>() < 0.7 {
                 pool[zipf.sample(&mut self.rng)].clone()
             } else {
-                let mut p = vec![0u8; self.cfg.payload_len];
-                self.rng.fill(&mut p[..]);
-                p
+                self.random_payload()
             };
 
             let wire_len = (ACK_LEN as usize + dlen).min(u16::MAX as usize) as u16;
@@ -553,7 +556,7 @@ impl Gen {
                     TcpFlags::ack(),
                     isn_c.wrapping_add(1 + req_len as u32),
                     seq.wrapping_add(dlen as u32),
-                    vec![],
+                    self.empty.clone(),
                 ));
             }
             seq = seq.wrapping_add(dlen as u32);
@@ -570,7 +573,7 @@ impl Gen {
             TcpFlags::new(false, true, true, false, false),
             seq,
             0,
-            vec![],
+            self.empty.clone(),
         ));
         t
     }
@@ -578,8 +581,7 @@ impl Gen {
     /// Plant worm traffic: one payload string sprayed from `sources` hosts
     /// to `destinations` hosts.
     fn worm(&mut self, sources: usize, destinations: usize) {
-        let mut payload = vec![0u8; self.cfg.payload_len];
-        self.rng.fill(&mut payload[..]);
+        let payload = self.random_payload();
         let srcs: Vec<u32> = (0..sources).map(|_| self.alloc_client()).collect();
         let dsts: Vec<u32> = (0..destinations).map(|_| self.alloc_server()).collect();
         let span_us = (self.cfg.duration_s * 1e6) as u64;
@@ -610,7 +612,7 @@ impl Gen {
             ));
         }
         self.truth.worms.push(WormTruth {
-            payload,
+            payload: payload.to_vec(),
             sources,
             destinations,
             copies,
@@ -657,7 +659,7 @@ impl Gen {
                     TcpFlags::new(false, true, false, false, true),
                     seq,
                     0,
-                    vec![0x73; plen], // 's'
+                    vec![0x73; plen].into(), // 's'
                 ));
                 seq = seq.wrapping_add(plen as u32);
             }
@@ -747,7 +749,7 @@ impl Gen {
                         TcpFlags::ack(),
                         seq,
                         0,
-                        vec![],
+                        self.empty.clone(),
                     ));
                 }
             }
@@ -807,15 +809,17 @@ impl Gen {
         // the trace, and repeated request bytes, interactive payloads, and
         // worm payloads are all genuine frequent strings in it.
         let plen = self.cfg.payload_len;
-        let mut prefix_counts: std::collections::HashMap<Vec<u8>, usize> =
-            std::collections::HashMap::new();
+        let mut prefix_counts: HashMap<&[u8], usize> = HashMap::new();
         for p in &self.packets {
             if p.payload.len() >= plen {
-                *prefix_counts.entry(p.payload[..plen].to_vec()).or_default() += 1;
+                *prefix_counts.entry(&p.payload[..plen]).or_default() += 1;
             }
         }
-        let mut counts: Vec<(Vec<u8>, usize)> =
-            prefix_counts.into_iter().filter(|(_, c)| *c > 1).collect();
+        let mut counts: Vec<(Vec<u8>, usize)> = prefix_counts
+            .into_iter()
+            .filter(|(_, c)| *c > 1)
+            .map(|(bytes, c)| (bytes.to_vec(), c))
+            .collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         self.truth.payload_counts = counts;
 
@@ -920,7 +924,7 @@ mod tests {
             let mut dsts = std::collections::HashSet::new();
             let mut copies = 0;
             for p in &t.packets {
-                if p.payload == w.payload {
+                if *p.payload == w.payload[..] {
                     srcs.insert(p.src_ip);
                     dsts.insert(p.dst_ip);
                     copies += 1;
@@ -1042,6 +1046,95 @@ mod tests {
             "{} connections vs {} conversations",
             sizes.len(),
             conversations
+        );
+    }
+
+    #[test]
+    fn retransmissions_share_their_originals_payload() {
+        let t = small();
+        let mut first: HashMap<(u32, u32, u16, u16, u32), &Packet> = HashMap::new();
+        let mut retransmissions = 0;
+        for p in t.packets.iter().filter(|p| !p.payload.is_empty()) {
+            let key = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.seq);
+            if let Some(orig) = first.insert(key, p) {
+                assert!(Arc::ptr_eq(&orig.payload, &p.payload), "{p:?}");
+                retransmissions += 1;
+            }
+        }
+        assert!(
+            retransmissions > 50,
+            "only {retransmissions} retransmissions"
+        );
+    }
+
+    #[test]
+    fn pooled_strings_and_empty_payloads_are_one_allocation_each() {
+        let cfg = HotspotConfig {
+            web_flows: 300,
+            ..HotspotConfig::default()
+        };
+        // The pool is the first thing the generator draws from its seed.
+        let string_0 = Gen::new(cfg.clone()).make_payload_pool()[0].clone();
+        let t = generate(cfg);
+        let carriers: Vec<&Packet> = t.packets.iter().filter(|p| p.payload == string_0).collect();
+        assert!(carriers.len() > 100, "{} carriers", carriers.len());
+        assert!(carriers
+            .iter()
+            .all(|p| Arc::ptr_eq(&p.payload, &carriers[0].payload)));
+        let empty: Vec<&Packet> = t.packets.iter().filter(|p| p.payload.is_empty()).collect();
+        assert!(empty.len() > 1_000, "{} empty payloads", empty.len());
+        assert!(empty
+            .iter()
+            .all(|p| Arc::ptr_eq(&p.payload, &empty[0].payload)));
+    }
+
+    /// FNV-1a, 64-bit, folded over `bytes` starting from `h`.
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The default seed-11 trace (the benchmark's trace) is pinned byte for
+    /// byte: every packet field and payload byte in trace order, then the
+    /// frequent-string truth. A change to how packets or payloads are stored
+    /// must leave both digests unchanged.
+    #[test]
+    fn seed_11_trace_content_is_pinned() {
+        let t = generate(HotspotConfig {
+            seed: 11,
+            ..HotspotConfig::default()
+        });
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for p in &t.packets {
+            h = fnv1a(h, &p.ts_us.to_le_bytes());
+            h = fnv1a(h, &p.src_ip.to_le_bytes());
+            h = fnv1a(h, &p.dst_ip.to_le_bytes());
+            h = fnv1a(h, &p.src_port.to_le_bytes());
+            h = fnv1a(h, &p.dst_port.to_le_bytes());
+            h = fnv1a(h, &[p.proto.number(), p.flags.0]);
+            h = fnv1a(h, &p.len.to_le_bytes());
+            h = fnv1a(h, &p.seq.to_le_bytes());
+            h = fnv1a(h, &p.ack.to_le_bytes());
+            h = fnv1a(h, &(p.payload.len() as u64).to_le_bytes());
+            h = fnv1a(h, &p.payload);
+        }
+        assert_eq!(
+            (t.packets.len(), h),
+            (174_327, 7_041_586_505_319_967_317),
+            "packet digest"
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (bytes, n) in &t.truth.payload_counts {
+            h = fnv1a(h, bytes);
+            h = fnv1a(h, &(*n as u64).to_le_bytes());
+        }
+        assert_eq!(
+            (t.truth.payload_counts.len(), h),
+            (999, 13_574_318_217_967_101_896),
+            "truth digest"
         );
     }
 

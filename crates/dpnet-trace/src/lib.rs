@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod classify;
-pub mod columns;
 pub mod connections;
 pub mod flow;
 pub mod format;
@@ -29,7 +28,6 @@ pub mod gen;
 pub mod packet;
 pub mod tcp;
 
-pub use columns::{PacketColumns, PayloadDict};
 pub use connections::{annotate_connections, ConnPacket};
 pub use flow::{FlowKey, FlowSummary};
 pub use packet::{format_ip, parse_ip, Packet, Proto, TcpFlags};

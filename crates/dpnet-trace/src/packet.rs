@@ -8,6 +8,7 @@
 //! addresses/ports for stepping stones) that sanitized public traces remove.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Transport protocol of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,8 +172,10 @@ pub struct Packet {
     /// TCP acknowledgment number (zero for non-TCP).
     pub ack: u32,
     /// Application payload bytes. Kept verbatim — this is sensitive data the
-    /// DP layer is responsible for protecting.
-    pub payload: Vec<u8>,
+    /// DP layer is responsible for protecting. Immutable and shared: cloning
+    /// a packet bumps a reference count and copies no payload bytes, and
+    /// equality, hashing and `Debug` act on the bytes.
+    pub payload: Arc<[u8]>,
 }
 
 impl Packet {
@@ -258,10 +261,30 @@ mod tests {
             flags: TcpFlags::ack(),
             seq: 0,
             ack: 0,
-            payload: vec![],
+            payload: Arc::from([]),
         };
         assert_eq!(p.ts_ms(), 1500);
         assert!((p.ts_secs() - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn clone_shares_the_payload_bytes() {
+        let p = Packet {
+            ts_us: 0,
+            src_ip: 1,
+            dst_ip: 2,
+            src_port: 3,
+            dst_port: 4,
+            proto: Proto::Tcp,
+            len: 48,
+            flags: TcpFlags::ack(),
+            seq: 0,
+            ack: 0,
+            payload: Arc::from(*b"WORMCODE"),
+        };
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.payload, &q.payload));
+        assert_eq!(p, q);
     }
 
     #[test]

@@ -169,7 +169,7 @@ mod tests {
             flags,
             seq,
             ack,
-            payload: vec![0xab; payload],
+            payload: vec![0xab; payload].into(),
         }
     }
 

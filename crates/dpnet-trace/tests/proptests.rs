@@ -41,7 +41,7 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                     flags: TcpFlags(flags),
                     seq,
                     ack,
-                    payload,
+                    payload: payload.into(),
                 }
             },
         )
@@ -98,7 +98,7 @@ proptest! {
                 flags: TcpFlags::ack(),
                 seq: 0,
                 ack: 0,
-                payload: vec![1],
+                payload: vec![1].into(),
             })
             .collect();
         let acts = activations(&packets, t_idle);

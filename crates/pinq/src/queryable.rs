@@ -1105,7 +1105,7 @@ impl<T> Queryable<T> {
     ///   `noisy_count` provenance, so ε accounting, explain traces, and
     ///   failure behavior (parts before the failing one stay charged) match
     ///   the unbatched form exactly. The whole fan-out is one kernel
-    ///   transition ([`kernel::charge_fan_out`]): one ledger lock, not one
+    ///   transition (`kernel::charge_fan_out`): one ledger lock, not one
     ///   per part;
     /// - noise is drawn from the shared stream once per charged part, in
     ///   part order, on the calling thread, under one hold of the noise

@@ -1,4 +1,4 @@
-//! Chunked columnar storage: the sharded record buffer behind a queryable.
+//! Chunked row storage: the sharded record buffer behind a queryable.
 //!
 //! A [`Shards<T>`] is an ordered list of immutable record chunks that reads
 //! as one flat sequence. Operators address records by *global* index — the

@@ -239,7 +239,7 @@ proptest! {
         }
     }
 
-    /// Columnar ≡ row: a source pre-sharded at any chunk size releases the
+    /// Sharded ≡ flat: a source pre-sharded at any chunk size releases the
     /// same bits, charges the same ε, and reports the same stability as the
     /// flat single-buffer source, sequentially and at workers 1/2/8.
     #[test]

@@ -1,4 +1,4 @@
-//! Shard-boundary edge cases for the columnar data plane: layouts that a
+//! Shard-boundary edge cases for chunked row shards: layouts that a
 //! bug in global-index addressing would get wrong — empty shards, one
 //! record per shard, shard sizes that do not divide the record count — and
 //! partition keys that recur across shards.
