@@ -110,12 +110,17 @@ fn bench_group_by(c: &mut Criterion) {
     })
     .packets;
     let q = Queryable::new(packets, &acct, &noise);
-    g.bench_function("group_by_hotspot_flow_seq", |b| {
-        b.iter(|| {
-            q.filter(|p| FlowKey::of(p).is_tcp() && !p.flags.is_syn() && !p.payload.is_empty())
-                .group_by(|p| (FlowKey::of(p), p.seq))
-                .stability()
-        })
+    let retx = |q: &Queryable<_>| {
+        q.filter(|p| FlowKey::of(p).is_tcp() && !p.flags.is_syn() && !p.payload.is_empty())
+            .group_by(|p| (FlowKey::of(p), p.seq))
+            .stability()
+    };
+    g.bench_function("group_by_hotspot_flow_seq", |b| b.iter(|| retx(&q)));
+    // The same barrier on a 2-worker pool, as dpbench's batch-retx runs it:
+    // the filter memo, the hash pass and the per-part grouping fan out.
+    let pooled = q.with_ctx(ExecCtx::pool(&ExecPool::new(2).unwrap()));
+    g.bench_function("group_by_hotspot_flow_seq_pool_2", |b| {
+        b.iter(|| retx(&pooled))
     });
     g.finish();
 }

@@ -24,8 +24,9 @@
 //! `kernel-speedup` times the two data-movement kernels the pool was built
 //! for — chunked partition construction and parallel synthetic-trace
 //! generation — at 1 vs `--workers` workers, in this process, and fails if
-//! the *better* of the two speedups is below `--min`. Skipped (exit 0) on
-//! machines with fewer CPUs than workers.
+//! the *better* of the two speedups is below `--min`. It also prints the
+//! grouping kernel's speedup, which the gate does not read. Skipped
+//! (exit 0) on machines with fewer CPUs than workers.
 //!
 //! `record` reruns the baseline experiment set (`fig1 itemsets worm` unless
 //! ids are given) in this process and rewrites
@@ -45,7 +46,9 @@
 //! parse with the current explain-semantics reader. Any stale file fails
 //! (exit 1) with the exact regeneration command, so a schema bump cannot
 //! silently turn the compare/golden gates into no-ops that misread old
-//! field layouts.
+//! field layouts. A profile fixture (`BENCH_<id>-wN.json`) whose `nproc`
+//! is below N draws a warning, not a failure: it was recorded
+//! oversubscribed.
 //!
 //! `golden` compares only the *semantic* fields of two reports — experiment
 //! ids, their `eps_charged`, and each phase's name and `eps_spent` — and
@@ -69,10 +72,12 @@
 //! structure or privacy-cost arithmetic fails the build, while noise draws
 //! and wall times cannot.
 
+use dpnet_bench::datasets;
 use dpnet_bench::experiments as exp;
 use dpnet_bench::profile::IDS;
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
 use dpnet_obs::{set_global_sink, MemorySink};
+use dpnet_trace::flow::FlowKey;
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::process::exit;
@@ -408,8 +413,25 @@ fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
     });
     let gen_speedup = gen_seq as f64 / gen_par as f64;
 
+    // Grouping: fig1's TCP data packets by `(flow, seq)`, from the
+    // forced filter memo. Printed for the record; the gate stays on the
+    // two kernels above.
+    let packets = Queryable::from_shared_shards(datasets::hotspot_shards().clone(), &acct, &noise)
+        .filter(|p| FlowKey::of(p).is_tcp() && !p.flags.is_syn() && !p.payload.is_empty());
+    let group_time = |pool: &ExecPool| {
+        let data = packets
+            .clone()
+            .with_ctx(ExecCtx::pool(pool))
+            .collect_protected();
+        best_of_3(|| {
+            data.group_by(|p| (FlowKey::of(p), p.seq));
+        })
+    };
+    let group_speedup = group_time(&seq) as f64 / group_time(&par) as f64;
+
     println!("partition kernel:  {part_speedup:.2}x at {workers} workers");
     println!("trace-gen kernel:  {gen_speedup:.2}x at {workers} workers");
+    println!("group_by kernel:   {group_speedup:.2}x at {workers} workers (not gated)");
     let best = part_speedup.max(gen_speedup);
     if best < min {
         eprintln!("bench_guard: best kernel speedup {best:.2}x below the {min:.2}x bar");
@@ -744,6 +766,17 @@ fn profile_report_target(name: &str) -> Option<(&str, usize)> {
     IDS.contains(&id).then_some((id, workers.parse().ok()?))
 }
 
+/// `record --check`'s warning for a profile fixture recorded with more
+/// workers than its machine had CPUs: its self times and its speedup over
+/// fewer workers then measure oversubscription, not the pool. A fixture
+/// without `nproc` predates the field and draws no warning.
+fn oversubscription_warning(name: &str, text: &str) -> Option<String> {
+    let (_, workers) = profile_report_target(name)?;
+    let nproc = field_u64(text, "nproc")?;
+    (workers as u64 > nproc)
+        .then(|| format!("recorded with {workers} workers on {nproc} CPUs (oversubscribed)"))
+}
+
 /// Whether `record --check` checks a report-directory file: every run
 /// report (`BENCH_*.json`) and golden fixture (`GOLDEN_*.json`).
 fn is_checked_fixture(name: &str) -> bool {
@@ -775,7 +808,12 @@ fn cmd_record_check(out_dir: &str) -> i32 {
     for name in &names {
         match std::fs::read_to_string(dir.join(name)) {
             Ok(text) => match check_fixture_text(name, &text) {
-                Ok(status) => println!("[fresh] {name}: {status}"),
+                Ok(status) => {
+                    println!("[fresh] {name}: {status}");
+                    if let Some(warning) = oversubscription_warning(name, &text) {
+                        eprintln!("[warn] {name}: {warning}");
+                    }
+                }
                 Err(reason) => {
                     eprintln!("[STALE] {name}: {reason}");
                     stale.push(name.clone());
@@ -1312,6 +1350,34 @@ mod tests {
         assert!(status.contains("attribution present"), "{status}");
         // Reports that are not profiles may carry empty attribution.
         assert!(check_fixture_text("BENCH_baseline.json", &report("")).is_ok());
+    }
+
+    #[test]
+    fn oversubscribed_profile_fixtures_draw_a_warning() {
+        let report = |nproc: &str| {
+            format!(
+                "{{\"schema_version\":{SCHEMA_VERSION},\"workers\":4,{nproc}\"experiments\":[]}}"
+            )
+        };
+        let warning = oversubscription_warning("BENCH_fig1-w4.json", &report("\"nproc\":2,"));
+        assert_eq!(
+            warning.as_deref(),
+            Some("recorded with 4 workers on 2 CPUs (oversubscribed)")
+        );
+        assert_eq!(
+            oversubscription_warning("BENCH_fig1-w4.json", &report("\"nproc\":4,")),
+            None
+        );
+        // Fixtures from before `nproc` was recorded, and reports that are
+        // not per-worker profiles, draw none.
+        assert_eq!(
+            oversubscription_warning("BENCH_fig1-w4.json", &report("")),
+            None
+        );
+        assert_eq!(
+            oversubscription_warning("BENCH_baseline.json", &report("\"nproc\":1,")),
+            None
+        );
     }
 
     #[test]

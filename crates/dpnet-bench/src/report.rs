@@ -170,7 +170,9 @@ pub const ATTRIBUTION_TOP: usize = 10;
 /// History: 1 = pre-versioned reports (no `schema_version` field);
 /// 2 = columnar data plane (adds `schema_version`);
 /// 3 = serving architecture (adds the optional per-experiment `latency`
-/// section: request/latency percentiles from `dpnet loadtest`).
+/// section: request/latency percentiles from `dpnet loadtest`). Schema 3
+/// reports may also carry `nproc`, the CPUs the run could use; readers
+/// treat a missing `nproc` as unknown, so adding it needed no bump.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Wall time of a fixed CPU-bound spin, measured on this machine right
@@ -201,6 +203,9 @@ pub fn calibrate_ns() -> u64 {
 pub struct RunReport {
     target: String,
     workers: usize,
+    /// CPUs available to the process, so a `-wN` report with N > nproc
+    /// reads as oversubscribed.
+    nproc: usize,
     calibration_ns: u64,
     runs: Vec<ExperimentRun>,
     registry: MetricsRegistry,
@@ -213,6 +218,7 @@ impl RunReport {
         RunReport {
             target: target.to_string(),
             workers: 1,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             calibration_ns: calibrate_ns(),
             runs: Vec::new(),
             registry: MetricsRegistry::new(),
@@ -412,6 +418,7 @@ impl RunReport {
         out.push_str(&format!("\"schema_version\":{SCHEMA_VERSION},"));
         out.push_str(&format!("\"target\":{},", escape(&self.target)));
         out.push_str(&format!("\"workers\":{},", self.workers));
+        out.push_str(&format!("\"nproc\":{},", self.nproc));
         out.push_str(&format!("\"calibration_ns\":{},", self.calibration_ns));
         out.push_str(&format!("\"generated_at_s\":{},", unix_time_s()));
         out.push_str("\"experiments\":[");
@@ -580,6 +587,7 @@ mod tests {
         r.set_workers(4);
         let json = r.to_json();
         assert!(json.contains("\"workers\":4"));
+        assert!(json.contains("\"nproc\":"));
         assert!(json.contains("\"calibration_ns\":"));
     }
 

@@ -56,6 +56,7 @@ pub mod aggregates;
 pub mod error;
 pub mod exec;
 pub mod explain;
+mod group;
 pub mod kernel;
 pub mod mechanisms;
 pub mod parallel;

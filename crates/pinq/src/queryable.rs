@@ -36,8 +36,9 @@
 use crate::aggregates;
 use crate::budget::Accountant;
 use crate::error::{check_epsilon, Error, Result};
-use crate::exec::ExecCtx;
+use crate::exec::{ExecCtx, ExecPool};
 use crate::explain::{ExplainTree, OpNode};
+use crate::group;
 use crate::kernel::{self, ChargeNode};
 use crate::plan::{LazyPlan, Runner, View};
 use crate::rng::NoiseSource;
@@ -97,54 +98,6 @@ fn key_index<K: Eq + Hash>(keys: &[K]) -> Result<HashMap<&K, usize, BuildHasherD
         }
     }
     Ok(index_of)
-}
-
-/// Group `records` by `key`: the distinct keys in first-seen order, each
-/// key's position in that order, and each key's members in input order.
-/// The one grouping kernel behind [`Queryable::group_by`] and
-/// [`Queryable::join`].
-///
-/// Pass 1 computes each record's key once and looks it up once, in a map
-/// pre-sized to the input, noting the record's group and the group's size.
-/// Pass 2 clones each record once, into a member list allocated at its
-/// exact size (on fig1 nearly every group has one member, which a growing
-/// `Vec` would give four slots).
-///
-/// The map keeps std's SipHash rather than [`key_index`]'s Fx hash. Group
-/// and join keys are computed from the records, so whoever has packets in
-/// the trace picks them, and a predictable hash would let them force
-/// collisions. Fx is also slower on these keys: grouping fig1's ~110k
-/// records by `(FlowKey, seq)`, pass 1 took a median 18–24 ms with
-/// pre-sized SipHash, 28–31 ms with pre-sized Fx and 22–30 ms with
-/// unsized SipHash (2-vCPU KVM guest, hotspot trace at seed 11).
-fn group_records<K, T>(
-    records: &Shards<T>,
-    key: impl Fn(&T) -> K,
-) -> (HashMap<K, usize>, Vec<K>, Vec<Vec<T>>)
-where
-    K: Eq + Hash + Clone,
-    T: Clone,
-{
-    let mut index: HashMap<K, usize> = HashMap::with_capacity(records.len());
-    let mut keys: Vec<K> = Vec::new();
-    let mut sizes: Vec<usize> = Vec::new();
-    let group_of: Vec<usize> = records
-        .iter()
-        .map(|r| {
-            let g = *index.entry(key(r)).or_insert_with_key(|k| {
-                keys.push(k.clone());
-                sizes.push(0);
-                sizes.len() - 1
-            });
-            sizes[g] += 1;
-            g
-        })
-        .collect();
-    let mut members: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (r, &g) in records.iter().zip(&group_of) {
-        members[g].push(r.clone());
-    }
-    (index, keys, members)
 }
 
 /// The records behind a queryable: a materialized (sharded) buffer, or a
@@ -469,6 +422,16 @@ impl<T> Queryable<T> {
             ctx: self.ctx.clone(),
             lineage: self.lineage.clone(),
         }
+    }
+
+    /// The pool a kernel with a single code path runs on: under
+    /// [`ExecCtx::Sequential`], the one-worker pool, whose runs stay on the
+    /// calling thread.
+    fn exec_pool(&self) -> ExecPool {
+        self.ctx
+            .as_pool()
+            .cloned()
+            .unwrap_or_else(ExecPool::sequential)
     }
 
     /// Current sensitivity multiplier relative to the source dataset.
@@ -817,21 +780,20 @@ impl<T> Queryable<T> {
     /// Group records by a key (PINQ `GroupBy`). Stability ×2: adding or
     /// removing one source record can change two output records (the group
     /// it leaves and the group it joins, in the multiset-difference sense).
-    pub fn group_by<K>(&self, key: impl Fn(&T) -> K) -> Queryable<Group<K, T>>
+    ///
+    /// A barrier: forces the pending fused plan. Under [`ExecCtx::Pool`]
+    /// the key hashing and the per-part grouping run on the pool; the
+    /// groups are the same for any worker count.
+    pub fn group_by<K>(&self, key: impl Fn(&T) -> K + Send + Sync) -> Queryable<Group<K, T>>
     where
-        K: Eq + Hash + Clone,
+        K: Eq + Hash + Send,
         T: Clone + Send + Sync,
     {
         let prof = self.agg_span("group_by");
         let t = SpanTimer::start();
         let records = self.records();
         prof.set_records(records.len() as u64);
-        let (_, keys, members) = group_records(&records, key);
-        let out: Vec<Group<K, T>> = keys
-            .into_iter()
-            .zip(members)
-            .map(|(key, items)| Group { key, items })
-            .collect();
+        let out = group::group_records(&self.exec_pool(), &records, &key);
         let n_out = out.len();
         let q = self.derive("group_by", out, self.stability * 2.0);
         self.emit_transform("group_by", q.stability, t.elapsed_ns(), n_out);
@@ -871,14 +833,17 @@ impl<T> Queryable<T> {
     /// [`JoinGroup`] per key present in *both* inputs. No sensitivity
     /// increase for either input; an aggregation on the result charges both
     /// source budgets.
+    ///
+    /// The left side is grouped as in [`Queryable::group_by`]; each right
+    /// record is then looked up in the left side's key index.
     pub fn join<U, K>(
         &self,
         other: &Queryable<U>,
-        left_key: impl Fn(&T) -> K,
+        left_key: impl Fn(&T) -> K + Send + Sync,
         right_key: impl Fn(&U) -> K,
     ) -> Queryable<JoinGroup<K, T, U>>
     where
-        K: Eq + Hash + Clone,
+        K: Eq + Hash + Send,
         T: Clone + Send + Sync,
         U: Clone + Send + Sync,
     {
@@ -887,21 +852,28 @@ impl<T> Queryable<T> {
         let left_records = self.records();
         let right_records = other.records();
         prof.set_records((left_records.len() + right_records.len()) as u64);
-        let (index, keys, lefts) = group_records(&left_records, left_key);
+        let (lefts, index) = group::group_and_index(&self.exec_pool(), &left_records, &left_key);
         // Each right record goes straight into its left group's list;
         // records whose key has no left group are never cloned.
-        let mut rights: Vec<Vec<U>> = (0..keys.len()).map(|_| Vec::new()).collect();
-        for r in right_records.iter() {
-            if let Some(&g) = index.get(&right_key(r)) {
-                rights[g].push(r.clone());
+        let mut rights: Vec<Vec<U>> = (0..lefts.len()).map(|_| Vec::new()).collect();
+        {
+            let _probe = span::enter("join/probe");
+            for r in right_records.iter() {
+                if let Some(g) = index.group_of(right_key(r)) {
+                    rights[g].push(r.clone());
+                }
             }
         }
-        let out: Vec<JoinGroup<K, T, U>> = keys
+        drop(index);
+        let out: Vec<JoinGroup<K, T, U>> = lefts
             .into_iter()
-            .zip(lefts)
             .zip(rights)
             .filter(|(_, right)| !right.is_empty())
-            .map(|((key, left), right)| JoinGroup { key, left, right })
+            .map(|(left, right)| JoinGroup {
+                key: left.key,
+                left: left.items,
+                right,
+            })
             .collect();
         let n_out = out.len();
         let q = Queryable {

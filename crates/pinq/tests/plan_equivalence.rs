@@ -289,19 +289,54 @@ proptest! {
     /// forced inputs.
     #[test]
     fn grouping_matches_a_naive_reference_in_every_context(
-        left in prop::collection::vec(0u32..6, 0..120),
-        right in prop::collection::vec(3u32..9, 0..120),
+        left in prop::collection::vec(0u32..2000, 0..120),
+        right in prop::collection::vec(0u32..2000, 0..120),
+        domain in 0usize..3,
     ) {
+        // Every record one key, six keys, or nearly every record its own
+        // key. Right keys overlap half of the left key range, so the join
+        // probes hit and miss groups in every part.
+        let d = [1, 6, 2000][domain];
+        let left: Vec<u32> = left.iter().map(|k| k % d).collect();
+        let right: Vec<u32> = right.iter().map(|k| k % d + d / 2).collect();
         let (left, right) = (tagged(&left), tagged(&right));
-        let pool = ExecPool::new(2).unwrap().with_chunk_size(16);
-        for ctx in [ExecCtx::Sequential, ExecCtx::pool(&pool)] {
+        for ctx in grouping_contexts() {
             for forced in [false, true] {
                 prop_assert!(
                     grouping_matches_reference(&left, &right, ctx.clone(), forced),
-                    "diverged: pool={} forced={}",
-                    matches!(ctx, ExecCtx::Pool(_)),
+                    "diverged: workers={} forced={}",
+                    ctx.workers(),
                     forced
                 );
+            }
+        }
+    }
+}
+
+/// `Sequential`, and pools of 1, 2 and 8 workers whose 16-record chunks
+/// split a grouping of more than 31 records into several hash parts.
+fn grouping_contexts() -> Vec<ExecCtx> {
+    let mut ctxs = vec![ExecCtx::Sequential];
+    for workers in [1, 2, 8] {
+        ctxs.push(ExecCtx::pool(
+            &ExecPool::new(workers).unwrap().with_chunk_size(16),
+        ));
+    }
+    ctxs
+}
+
+#[test]
+fn grouping_empty_inputs_matches_the_reference() {
+    let some = tagged(&[4, 1, 4, 9, 1, 1, 7]);
+    for (left, right) in [(vec![], vec![]), (vec![], some.clone()), (some, vec![])] {
+        for ctx in grouping_contexts() {
+            for forced in [false, true] {
+                assert!(grouping_matches_reference(
+                    &left,
+                    &right,
+                    ctx.clone(),
+                    forced
+                ));
             }
         }
     }
