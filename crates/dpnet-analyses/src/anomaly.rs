@@ -55,16 +55,9 @@ pub fn private_volume_matrix(
     let link_keys: Vec<u16> = (0..cfg.links as u16).collect();
     let window_keys: Vec<u16> = (0..cfg.windows as u16).collect();
     let rows = records.partition(&link_keys, |r| r.link)?;
-    let mut matrix = Vec::with_capacity(cfg.links);
-    for row in &rows {
-        let cells = row.partition(&window_keys, |r| r.window)?;
-        let mut out = Vec::with_capacity(cfg.windows);
-        for cell in &cells {
-            out.push(cell.noisy_count(cfg.eps)?);
-        }
-        matrix.push(out);
-    }
-    Ok(matrix)
+    rows.iter()
+        .map(|row| row.partition_noisy_counts(&window_keys, |r| r.window, cfg.eps))
+        .collect()
 }
 
 /// The per-time-bin anomalous-traffic norm (Figure 4's y-axis): residual

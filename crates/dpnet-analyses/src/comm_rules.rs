@@ -164,11 +164,9 @@ pub fn communication_rules(
             .cloned()
             .collect()
     })?;
-    let single_parts = singles.partition(&universe, |&s| s)?;
-    let mut single_support: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-    for (&server, part) in universe.iter().zip(&single_parts) {
-        single_support.insert(server, part.noisy_count(cfg.eps)?);
-    }
+    let single_counts = singles.partition_noisy_counts(&universe, |&s| s, cfg.eps)?;
+    let single_support: std::collections::HashMap<u64, f64> =
+        universe.iter().copied().zip(single_counts).collect();
 
     let pair_bound = bound * (bound - 1) / 2;
     let uni = universe.clone();
@@ -187,14 +185,13 @@ pub fn communication_rules(
         }
         out
     })?;
-    let pair_parts = pairs_q.partition(&candidate_pairs, |&p| p)?;
+    let pair_counts = pairs_q.partition_noisy_counts(&candidate_pairs, |&p| p, cfg.eps)?;
 
     // Rules from refined counts (ranking mirrors the association-rule
     // layer; see `dpnet_toolkit::assoc` for the generic free-post-
     // processing variant used when refinement is too expensive).
     let mut rules = Vec::new();
-    for (&(a, b), part) in candidate_pairs.iter().zip(&pair_parts) {
-        let pair_support = part.noisy_count(cfg.eps)?;
+    for (&(a, b), pair_support) in candidate_pairs.iter().zip(pair_counts) {
         for (trigger, implied) in [(a, b), (b, a)] {
             let denom = single_support.get(&trigger).copied().unwrap_or(0.0);
             if denom < 1.0 {

@@ -18,10 +18,9 @@
 //! at ε = 0.1, 1.0, 10.0 — the misses being payloads with low overall
 //! presence but above-average dispersal.
 
-use dpnet_toolkit::freqstrings::{frequent_strings, FrequentStringsConfig};
+use dpnet_toolkit::freqstrings::{frequent_strings, FrequentString, FrequentStringsConfig};
 use dpnet_trace::Packet;
-use pinq::parallel::parallel_map_parts_with;
-use pinq::{ExecCtx, ExecPool, Queryable, Result};
+use pinq::{Queryable, Result};
 use std::collections::{HashMap, HashSet};
 
 /// Configuration for private worm fingerprinting.
@@ -69,107 +68,38 @@ pub struct WormFinding {
 
 /// Run private worm fingerprinting. Total privacy cost:
 /// `(payload_len + 2) × ε`.
+///
+/// Every stage runs on the [`pinq::ExecCtx`] `packets` carries, and the
+/// findings at a fixed seed are the same on the calling thread and on a
+/// pool of any size.
 pub fn worm_fingerprints(
     packets: &Queryable<Packet>,
     cfg: &WormConfig,
 ) -> Result<Vec<WormFinding>> {
     let plen = cfg.payload_len;
-    let payloads = packets.filter(move |p| p.payload.len() >= plen);
-    let candidates = frequent_strings(
-        &payloads,
-        |p: &Packet| &p.payload,
-        &FrequentStringsConfig {
-            length: plen,
-            eps_per_level: cfg.eps,
-            threshold: cfg.presence_threshold,
-            max_viable: 512,
-        },
-    )?;
+    let candidates = prefix_candidates(packets, cfg)?;
     if candidates.is_empty() {
         return Ok(Vec::new());
     }
 
     let keys: Vec<Vec<u8>> = candidates.iter().map(|c| c.bytes.clone()).collect();
-    let parts = packets.partition(&keys, move |p: &Packet| {
-        if p.payload.len() >= plen {
-            p.payload[..plen].to_vec()
-        } else {
-            Vec::new()
-        }
-    })?;
-
-    let mut findings = Vec::new();
-    for (cand, part) in candidates.into_iter().zip(&parts) {
-        let srcs = part.distinct_by(|p| p.src_ip).noisy_count(cfg.eps)?;
-        let dsts = part.distinct_by(|p| p.dst_ip).noisy_count(cfg.eps)?;
-        if srcs > cfg.src_threshold && dsts > cfg.dst_threshold {
-            findings.push(WormFinding {
-                payload: cand.bytes,
-                distinct_sources: srcs,
-                distinct_destinations: dsts,
-                presence: cand.noisy_count,
-            });
-        }
-    }
-    findings.sort_by(|a, b| {
-        b.presence
-            .partial_cmp(&a.presence)
-            .expect("finite presence")
-    });
-    Ok(findings)
-}
-
-/// [`worm_fingerprints`] on a worker pool: the candidate partition is built
-/// by the chunked parallel kernel, and the per-candidate dispersion queries
-/// (`distinct → count`, twice per part) fan out across workers with
-/// deterministic per-part noise substreams. At a fixed seed the findings
-/// are identical for **any** worker count; budget charges match the
-/// sequential analysis exactly. (The released values differ from the
-/// sequential [`worm_fingerprints`] at the same seed, because each part
-/// draws from its own substream rather than the shared stream.)
-pub fn worm_fingerprints_with(
-    packets: &Queryable<Packet>,
-    cfg: &WormConfig,
-    pool: &ExecPool,
-) -> Result<Vec<WormFinding>> {
-    let plen = cfg.payload_len;
-    // Bind the pool once: every plan materialization and partition below
-    // runs chunked on it.
-    let packets = packets.clone().with_ctx(ExecCtx::pool(pool));
-    let payloads = packets.filter(move |p| p.payload.len() >= plen);
-    let candidates = frequent_strings(
-        &payloads,
-        |p: &Packet| &p.payload,
-        &FrequentStringsConfig {
-            length: plen,
-            eps_per_level: cfg.eps,
-            threshold: cfg.presence_threshold,
-            max_viable: 512,
+    let dispersion = dispersions(
+        packets,
+        &keys,
+        move |p: &Packet| {
+            if p.payload.len() >= plen {
+                p.payload[..plen].to_vec()
+            } else {
+                Vec::new()
+            }
         },
+        |p| p.src_ip,
+        |p| p.dst_ip,
+        cfg.eps,
     )?;
-    if candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    let keys: Vec<Vec<u8>> = candidates.iter().map(|c| c.bytes.clone()).collect();
-    let parts = packets.partition(&keys, move |p: &Packet| {
-        if p.payload.len() >= plen {
-            p.payload[..plen].to_vec()
-        } else {
-            Vec::new()
-        }
-    })?;
-
-    let eps = cfg.eps;
-    let dispersions = parallel_map_parts_with(&parts, pool, |part| {
-        let srcs = part.distinct_by(|p| p.src_ip).noisy_count(eps)?;
-        let dsts = part.distinct_by(|p| p.dst_ip).noisy_count(eps)?;
-        Ok((srcs, dsts))
-    });
 
     let mut findings = Vec::new();
-    for (cand, disp) in candidates.into_iter().zip(dispersions) {
-        let (srcs, dsts): (f64, f64) = disp?;
+    for (cand, (srcs, dsts)) in candidates.into_iter().zip(dispersion) {
         if srcs > cfg.src_threshold && dsts > cfg.dst_threshold {
             findings.push(WormFinding {
                 payload: cand.bytes,
@@ -215,17 +145,7 @@ pub fn worm_fingerprints_with_port(
     ports: &[u16],
 ) -> Result<Vec<PortWormFinding>> {
     let plen = cfg.payload_len;
-    let payloads = packets.filter(move |p| p.payload.len() >= plen);
-    let candidates = frequent_strings(
-        &payloads,
-        |p: &Packet| &p.payload,
-        &FrequentStringsConfig {
-            length: plen,
-            eps_per_level: cfg.eps,
-            threshold: cfg.presence_threshold,
-            max_viable: 512,
-        },
-    )?;
+    let candidates = prefix_candidates(packets, cfg)?;
     if candidates.is_empty() || ports.is_empty() {
         return Ok(Vec::new());
     }
@@ -236,18 +156,23 @@ pub fn worm_fingerprints_with_port(
             keys.push((c.bytes.clone(), port));
         }
     }
-    let parts = packets.partition(&keys, move |p: &Packet| {
-        if p.payload.len() >= plen {
-            (p.payload[..plen].to_vec(), p.dst_port)
-        } else {
-            (Vec::new(), 0)
-        }
-    })?;
+    let dispersion = dispersions(
+        packets,
+        &keys,
+        move |p: &Packet| {
+            if p.payload.len() >= plen {
+                (p.payload[..plen].to_vec(), p.dst_port)
+            } else {
+                (Vec::new(), 0)
+            }
+        },
+        |p| p.src_ip,
+        |p| p.dst_ip,
+        cfg.eps,
+    )?;
 
     let mut findings = Vec::new();
-    for ((payload, port), part) in keys.into_iter().zip(&parts) {
-        let srcs = part.distinct_by(|p| p.src_ip).noisy_count(cfg.eps)?;
-        let dsts = part.distinct_by(|p| p.dst_ip).noisy_count(cfg.eps)?;
+    for ((payload, port), (srcs, dsts)) in keys.into_iter().zip(dispersion) {
         if srcs > cfg.src_threshold && dsts > cfg.dst_threshold {
             findings.push(PortWormFinding {
                 payload,
@@ -344,11 +269,16 @@ pub fn worm_fingerprints_windowed(
     }
 
     let keys: Vec<Vec<u8>> = candidates.iter().map(|c| c.bytes.clone()).collect();
-    let parts = windows.partition(&keys, |r: &WindowRec| r.window.clone())?;
+    let dispersion = dispersions(
+        &windows,
+        &keys,
+        |r: &WindowRec| r.window.clone(),
+        |r| r.src,
+        |r| r.dst,
+        cfg.eps,
+    )?;
     let mut findings = Vec::new();
-    for (cand, part) in candidates.into_iter().zip(&parts) {
-        let srcs = part.distinct_by(|r| r.src).noisy_count(cfg.eps)?;
-        let dsts = part.distinct_by(|r| r.dst).noisy_count(cfg.eps)?;
+    for (cand, (srcs, dsts)) in candidates.into_iter().zip(dispersion) {
         if srcs > cfg.src_threshold && dsts > cfg.dst_threshold {
             findings.push(WormFinding {
                 payload: cand.bytes,
@@ -360,6 +290,50 @@ pub fn worm_fingerprints_windowed(
     }
     findings.sort_by(|a, b| b.presence.partial_cmp(&a.presence).expect("finite"));
     Ok(findings)
+}
+
+/// The payload search both prefix variants share: frequent
+/// `payload_len`-byte payload prefixes. Cost: `payload_len × ε`.
+fn prefix_candidates(packets: &Queryable<Packet>, cfg: &WormConfig) -> Result<Vec<FrequentString>> {
+    let plen = cfg.payload_len;
+    let payloads = packets.filter(move |p| p.payload.len() >= plen);
+    frequent_strings(
+        &payloads,
+        |p: &Packet| &p.payload,
+        &FrequentStringsConfig {
+            length: plen,
+            eps_per_level: cfg.eps,
+            threshold: cfg.presence_threshold,
+            max_viable: 512,
+        },
+    )
+}
+
+/// The dispersion step every variant shares: partition `data` by `key`
+/// over the candidate `keys` and release, per part, noisy counts of its
+/// distinct sources (`src`) and distinct destinations (`dst`). Parts run
+/// through [`Queryable::partition_map`], so each draws from its own noise
+/// substream and the releases are the same on the calling thread and on a
+/// pool of any size. Cost: `2ε`, parallel across candidates.
+fn dispersions<T, K>(
+    data: &Queryable<T>,
+    keys: &[K],
+    key: impl Fn(&T) -> K + Send + Sync,
+    src: impl Fn(&T) -> u32 + Sync,
+    dst: impl Fn(&T) -> u32 + Sync,
+    eps: f64,
+) -> Result<Vec<(f64, f64)>>
+where
+    T: Clone + Send + Sync,
+    K: Eq + std::hash::Hash + Clone + Sync,
+{
+    data.partition_map(keys, key, |part| {
+        let srcs = part.distinct_by(&src).noisy_count(eps)?;
+        let dsts = part.distinct_by(&dst).noisy_count(eps)?;
+        Ok((srcs, dsts))
+    })?
+    .into_iter()
+    .collect()
 }
 
 /// Noise-free reference: payload prefixes with at least `src_threshold`
@@ -395,7 +369,7 @@ pub fn worm_fingerprints_exact(
 mod tests {
     use super::*;
     use dpnet_trace::gen::hotspot::{generate, HotspotConfig};
-    use pinq::{Accountant, NoiseSource};
+    use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource};
 
     fn trace() -> dpnet_trace::gen::hotspot::HotspotTrace {
         generate(HotspotConfig {
@@ -619,6 +593,36 @@ mod tests {
         assert!((acct.spent() - 16.0).abs() < 1e-9, "spent {}", acct.spent());
     }
 
+    /// The calling thread and pools of 1, 2 and 8 workers.
+    fn contexts() -> Vec<ExecCtx> {
+        let mut out = vec![ExecCtx::Sequential];
+        for workers in [1, 2, 8] {
+            let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
+            out.push(ExecCtx::pool(&pool));
+        }
+        out
+    }
+
+    /// Run `search` on the trace under every context; each must find what
+    /// the calling thread finds and spend what it spends.
+    fn assert_ctx_invariant<R: PartialEq + std::fmt::Debug>(
+        packets: &[Packet],
+        seed: u64,
+        search: impl Fn(&Queryable<Packet>) -> Result<Vec<R>>,
+    ) {
+        let run = |ctx: ExecCtx| {
+            let (acct, q) = protect(packets.to_vec(), 1e6, seed);
+            let found = search(&q.with_ctx(ctx)).unwrap();
+            assert!(!found.is_empty(), "expected findings at weak privacy");
+            (found, acct.spent())
+        };
+        let mut ctxs = contexts().into_iter();
+        let baseline = run(ctxs.next().unwrap());
+        for ctx in ctxs {
+            assert_eq!(run(ctx.clone()), baseline, "{ctx:?} diverged");
+        }
+    }
+
     #[test]
     fn pool_fingerprinting_is_identical_for_any_worker_count() {
         let t = trace();
@@ -627,17 +631,7 @@ mod tests {
             presence_threshold: 50.0,
             ..WormConfig::default()
         };
-        let run = |workers: usize| {
-            let (acct, q) = protect(t.packets.clone(), 100.0, 89);
-            let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
-            let found = worm_fingerprints_with(&q, &cfg, &pool).unwrap();
-            assert!(!found.is_empty(), "expected findings at weak privacy");
-            (found, acct.spent())
-        };
-        let baseline = run(1);
-        for workers in [2, 8] {
-            assert_eq!(run(workers), baseline, "workers={workers} diverged");
-        }
+        assert_ctx_invariant(&t.packets, 89, |q| worm_fingerprints(q, &cfg));
     }
 
     #[test]
@@ -648,17 +642,41 @@ mod tests {
             presence_threshold: 50.0,
             ..WormConfig::default()
         };
-        let (seq_acct, seq_q) = protect(t.packets.clone(), 100.0, 73);
-        worm_fingerprints(&seq_q, &cfg).unwrap();
-        let (par_acct, par_q) = protect(t.packets.clone(), 100.0, 73);
-        let pool = ExecPool::new(4).unwrap().with_chunk_size(64);
-        worm_fingerprints_with(&par_q, &cfg, &pool).unwrap();
-        assert!(
-            (par_acct.spent() - seq_acct.spent()).abs() < 1e-12,
-            "parallel spent {} vs sequential {}",
-            par_acct.spent(),
-            seq_acct.spent()
-        );
+        for ctx in contexts() {
+            let (acct, q) = protect(t.packets.clone(), 100.0, 73);
+            worm_fingerprints(&q.with_ctx(ctx.clone()), &cfg).unwrap();
+            // (8 + 2) × ε, as on the calling thread: parts compose in
+            // parallel whichever worker measures them.
+            assert!(
+                (acct.spent() - 10.0).abs() < 1e-9,
+                "{ctx:?} spent {}",
+                acct.spent()
+            );
+        }
+    }
+
+    #[test]
+    fn port_and_windowed_fingerprints_match_on_the_calling_thread_and_any_pool() {
+        let mut pkts = spray(b"WORMCODE", 120, 445, 0x0200_0000);
+        for i in 0..120usize {
+            let mut payload = vec![(i % 251) as u8; i % 3];
+            payload.extend_from_slice(b"EVILBZ");
+            pkts.extend(spray(&payload, 1, 80, 0x0300_0000 + i as u32 * 512));
+        }
+        let cfg = WormConfig {
+            eps: 10.0,
+            presence_threshold: 60.0,
+            ..WormConfig::default()
+        };
+        assert_ctx_invariant(&pkts, 91, |q| {
+            worm_fingerprints_with_port(q, &cfg, &[80, 445])
+        });
+        let windowed = WindowedWormConfig {
+            eps: 10.0,
+            presence_threshold: 60.0,
+            ..WindowedWormConfig::default()
+        };
+        assert_ctx_invariant(&pkts, 93, |q| worm_fingerprints_windowed(q, &windowed));
     }
 
     #[test]

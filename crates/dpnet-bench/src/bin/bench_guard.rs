@@ -73,9 +73,9 @@
 //! and wall times cannot.
 
 use dpnet_bench::datasets;
-use dpnet_bench::experiments as exp;
-use dpnet_bench::profile::IDS;
+use dpnet_bench::profile::{best_of, run_experiment, IDS};
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
+use dpnet_obs::json::{parse_value, JsonValue};
 use dpnet_obs::{set_global_sink, MemorySink};
 use dpnet_trace::flow::FlowKey;
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
@@ -84,93 +84,24 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// First `"key":<number>` occurrence in `json`, parsed as u64.
-fn field_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let digits: String = json[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// First `"key":<number>` occurrence in `json`, parsed as f64 (accepts a
-/// sign, a decimal point, and an exponent).
-fn field_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let digits: String = json[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    digits.parse().ok()
-}
-
-/// The semantic (machine-independent) content of one experiment entry:
-/// its id, total ε charged, and each phase's `(name, eps_spent)`.
+/// One experiment entry of a run report: the fields the gates read.
 #[derive(Debug, Clone, PartialEq)]
-struct ExpSemantics {
+struct Experiment {
     id: String,
+    wall_ns: Option<u64>,
+    /// `NaN` when the entry has none, so it never matches a golden value.
     eps_charged: f64,
+    /// `(name, eps_spent)` per phase, in report order.
     phases: Vec<(String, f64)>,
+    /// `(operator, totals)` per attribution row; `None` when the entry
+    /// carries no attribution array at all.
+    attribution: Option<Vec<(String, AttrTotals)>>,
+    /// Whether the entry carries a `latency` object with the p50, p95 and
+    /// p99 percentiles (serve reports).
+    latency_percentiles: bool,
 }
 
-/// Extract the semantic fields of every experiment in a report, in file
-/// order. Wall times and calibration are deliberately not read.
-fn experiment_semantics(json: &str) -> Vec<ExpSemantics> {
-    let mut out: Vec<ExpSemantics> = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"id\":\"") {
-        rest = &rest[pos + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        rest = &rest[end..];
-        // This experiment's fields run until the next "id" key (or EOF).
-        let segment_end = rest.find("\"id\":\"").unwrap_or(rest.len());
-        let segment = &rest[..segment_end];
-        let eps_charged = field_f64(segment, "eps_charged").unwrap_or(f64::NAN);
-        let mut phases = Vec::new();
-        let mut phase_rest = segment;
-        while let Some(npos) = phase_rest.find("\"name\":\"") {
-            phase_rest = &phase_rest[npos + 8..];
-            let Some(nend) = phase_rest.find('"') else {
-                break;
-            };
-            let name = phase_rest[..nend].to_string();
-            if let Some(eps) = field_f64(phase_rest, "eps_spent") {
-                phases.push((name, eps));
-            }
-            phase_rest = &phase_rest[nend..];
-        }
-        out.push(ExpSemantics {
-            id,
-            eps_charged,
-            phases,
-        });
-    }
-    out
-}
-
-/// Per-experiment `(id, wall_ns)` pairs. Relies on the report writer's
-/// field order: each experiment object opens with `"id"` immediately
-/// followed by `"wall_ns"`.
-fn experiment_walls(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"id\":\"") {
-        rest = &rest[pos + 6..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        if let Some(wall) = field_u64(rest, "wall_ns") {
-            out.push((id, wall));
-        }
-        rest = &rest[end..];
-    }
-    out
-}
-
-/// One operator's folded attribution totals, as read from a report.
+/// One operator's attribution totals, as read from a report.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct AttrTotals {
     count: u64,
@@ -178,52 +109,124 @@ struct AttrTotals {
     self_ns: u64,
 }
 
-/// Fold every `"attribution":[...]` array in a report into per-operator
-/// totals. Objects inside the arrays are flat, so a brace scan suffices.
-fn attribution_totals(json: &str) -> std::collections::BTreeMap<String, AttrTotals> {
-    let mut out: std::collections::BTreeMap<String, AttrTotals> = std::collections::BTreeMap::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"attribution\":[") {
-        rest = &rest[pos + 15..];
-        let body_end = rest.find(']').unwrap_or(rest.len());
-        let mut body = &rest[..body_end];
-        while let Some(open) = body.find('{') {
-            let Some(close) = body[open..].find('}') else {
-                break;
-            };
-            let obj = &body[open..=open + close];
-            if let Some(map) = dpnet_obs::json::parse_flat_object(obj) {
-                let name = map.get("name").and_then(|v| v.as_str()).map(str::to_string);
-                let num = |key: &str| map.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-                if let Some(name) = name {
-                    let row = out.entry(name).or_default();
-                    row.count += num("count");
-                    row.total_ns += num("total_ns");
-                    row.self_ns += num("self_ns");
-                }
-            }
-            body = &body[open + close + 1..];
-        }
-        rest = &rest[body_end..];
-    }
-    out
-}
-
+/// What the gates read from one `BENCH_*`/`GOLDEN_*` run report, parsed
+/// once with [`parse_value`].
+#[derive(Debug, Clone, PartialEq)]
 struct Report {
-    calibration_ns: u64,
-    workers: u64,
-    walls: Vec<(String, u64)>,
+    schema_version: Option<u64>,
+    calibration_ns: Option<u64>,
+    workers: Option<u64>,
+    nproc: Option<u64>,
+    experiments: Vec<Experiment>,
 }
 
-fn load(path: &str) -> Result<Report, String> {
+fn num(v: &JsonValue, key: &str) -> Option<f64> {
+    v.get(key).and_then(JsonValue::as_f64)
+}
+
+fn num_u64(v: &JsonValue, key: &str) -> Option<u64> {
+    num(v, key).map(|x| x as u64)
+}
+
+/// The elements of array member `key`; empty when there is none.
+fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    v.get(key).and_then(JsonValue::items).unwrap_or(&[])
+}
+
+fn name(v: &JsonValue) -> Option<String> {
+    v.get("name")
+        .and_then(JsonValue::as_str)
+        .map(str::to_string)
+}
+
+impl Report {
+    /// Parse a run report; `None` when the text is not JSON.
+    fn parse(text: &str) -> Option<Report> {
+        let doc = parse_value(text)?;
+        let experiments = items(&doc, "experiments")
+            .iter()
+            .filter_map(|e| {
+                let id = e.get("id").and_then(JsonValue::as_str)?.to_string();
+                let phases = items(e, "phases")
+                    .iter()
+                    .filter_map(|p| Some((name(p)?, num(p, "eps_spent")?)))
+                    .collect();
+                let attribution = e.get("attribution").and_then(JsonValue::items).map(|rows| {
+                    rows.iter()
+                        .filter_map(|r| {
+                            let totals = AttrTotals {
+                                count: num_u64(r, "count").unwrap_or(0),
+                                total_ns: num_u64(r, "total_ns").unwrap_or(0),
+                                self_ns: num_u64(r, "self_ns").unwrap_or(0),
+                            };
+                            Some((name(r)?, totals))
+                        })
+                        .collect()
+                });
+                let latency_percentiles = e.get("latency").is_some_and(|l| {
+                    ["p50_ns", "p95_ns", "p99_ns"]
+                        .iter()
+                        .all(|k| num(l, k).is_some())
+                });
+                Some(Experiment {
+                    id,
+                    wall_ns: num_u64(e, "wall_ns"),
+                    eps_charged: num(e, "eps_charged").unwrap_or(f64::NAN),
+                    phases,
+                    attribution,
+                    latency_percentiles,
+                })
+            })
+            .collect();
+        Some(Report {
+            schema_version: num_u64(&doc, "schema_version"),
+            calibration_ns: num_u64(&doc, "calibration_ns"),
+            workers: num_u64(&doc, "workers"),
+            nproc: num_u64(&doc, "nproc"),
+            experiments,
+        })
+    }
+
+    /// The machine calibration wall time, in ns (at least 1).
+    fn calibration(&self) -> f64 {
+        self.calibration_ns.unwrap_or(1).max(1) as f64
+    }
+
+    /// Per-experiment `(id, wall_ns)` pairs, for entries that carry one.
+    fn walls(&self) -> Vec<(String, u64)> {
+        self.experiments
+            .iter()
+            .filter_map(|e| Some((e.id.clone(), e.wall_ns?)))
+            .collect()
+    }
+
+    /// Every experiment's attribution rows, folded per operator.
+    fn attribution_totals(&self) -> std::collections::BTreeMap<String, AttrTotals> {
+        let mut out: std::collections::BTreeMap<String, AttrTotals> =
+            std::collections::BTreeMap::new();
+        for (name, t) in self
+            .experiments
+            .iter()
+            .flat_map(|e| e.attribution.iter().flatten())
+        {
+            let row = out.entry(name.clone()).or_default();
+            row.count += t.count;
+            row.total_ns += t.total_ns;
+            row.self_ns += t.self_ns;
+        }
+        out
+    }
+}
+
+/// Read and parse the run report at `path`; `require_calibration` also
+/// refuses a report without `calibration_ns`.
+fn load(path: &str, require_calibration: bool) -> Result<Report, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Ok(Report {
-        calibration_ns: field_u64(&text, "calibration_ns")
-            .ok_or_else(|| format!("{path}: no calibration_ns field"))?
-            .max(1),
-        workers: field_u64(&text, "workers").unwrap_or(1),
-        walls: experiment_walls(&text),
-    })
+    let report = Report::parse(&text).ok_or_else(|| format!("{path}: not a JSON run report"))?;
+    if require_calibration && report.calibration_ns.is_none() {
+        return Err(format!("{path}: no calibration_ns field"));
+    }
+    Ok(report)
 }
 
 /// Trailing `--flag <value>` parse with a default.
@@ -236,21 +239,22 @@ fn flag_f64(args: &[String], flag: &str, default: f64) -> f64 {
 }
 
 fn cmd_compare(current: &str, baseline: &str, threshold: f64) -> i32 {
-    let (cur, base) = match (load(current), load(baseline)) {
+    let (cur, base) = match (load(current, true), load(baseline, true)) {
         (Ok(c), Ok(b)) => (c, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return 2;
         }
     };
+    let (cur_walls, base_walls) = (cur.walls(), base.walls());
     let mut failed = false;
-    for (id, wall) in &cur.walls {
-        let Some((_, base_wall)) = base.walls.iter().find(|(b, _)| b == id) else {
+    for (id, wall) in &cur_walls {
+        let Some((_, base_wall)) = base_walls.iter().find(|(b, _)| b == id) else {
             eprintln!("[skip] {id}: not in baseline");
             continue;
         };
-        let cur_units = *wall as f64 / cur.calibration_ns as f64;
-        let base_units = *base_wall as f64 / base.calibration_ns as f64;
+        let cur_units = *wall as f64 / cur.calibration();
+        let base_units = *base_wall as f64 / base.calibration();
         let ratio = cur_units / base_units.max(f64::MIN_POSITIVE);
         let verdict = if ratio > 1.0 + threshold {
             failed = true;
@@ -262,8 +266,8 @@ fn cmd_compare(current: &str, baseline: &str, threshold: f64) -> i32 {
             "[{verdict}] {id}: {cur_units:.1} vs baseline {base_units:.1} calibration units ({ratio:.2}x)"
         );
     }
-    for (id, _) in &base.walls {
-        if !cur.walls.iter().any(|(c, _)| c == id) {
+    for (id, _) in &base_walls {
+        if !cur_walls.iter().any(|(c, _)| c == id) {
             eprintln!("[warn] {id}: in baseline but missing from current run");
         }
     }
@@ -309,7 +313,7 @@ fn append_skip_summary(path: &str, gate: &str, reason: &str) {
 }
 
 fn cmd_speedup(seq_path: &str, par_path: &str, min: f64) -> i32 {
-    let (seq, par) = match (load(seq_path), load(par_path)) {
+    let (seq, par) = match (load(seq_path, true), load(par_path, true)) {
         (Ok(s), Ok(p)) => (s, p),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
@@ -319,23 +323,23 @@ fn cmd_speedup(seq_path: &str, par_path: &str, min: f64) -> i32 {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
-    if cpus < par.workers {
+    let par_workers = par.workers.unwrap_or(1);
+    if cpus < par_workers {
         ci_skip_warning(
             "speedup",
             &format!(
                 "machine has {cpus} CPUs, parallel run used {} workers — \
                  parallel speedup was NOT checked",
-                par.workers
+                par_workers
             ),
         );
         return 0;
     }
-    let seq_wall: u64 = seq.walls.iter().map(|(_, w)| w).sum();
-    let par_wall: u64 = par.walls.iter().map(|(_, w)| w).sum::<u64>().max(1);
+    let seq_wall: u64 = seq.walls().iter().map(|(_, w)| w).sum();
+    let par_wall: u64 = par.walls().iter().map(|(_, w)| w).sum::<u64>().max(1);
     let speedup = seq_wall as f64 / par_wall as f64;
     println!(
-        "speedup at {} workers: {speedup:.2}x (sequential {seq_wall} ns, parallel {par_wall} ns)",
-        par.workers
+        "speedup at {par_workers} workers: {speedup:.2}x (sequential {seq_wall} ns, parallel {par_wall} ns)"
     );
     if speedup < min {
         eprintln!("bench_guard: speedup {speedup:.2}x below the {min:.2}x bar");
@@ -343,19 +347,6 @@ fn cmd_speedup(seq_path: &str, par_path: &str, min: f64) -> i32 {
     } else {
         0
     }
-}
-
-/// Best-of-3 wall time of `f`.
-fn best_of_3(mut f: impl FnMut()) -> u64 {
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("three rounds")
-        .max(1)
 }
 
 fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
@@ -391,12 +382,10 @@ fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
     let keys: Vec<u32> = (0..256u32).collect();
     let q_seq = q.clone().with_ctx(ExecCtx::pool(&seq));
     let q_par = q.clone().with_ctx(ExecCtx::pool(&par));
-    let part_seq = best_of_3(|| {
-        q_seq.partition(&keys, |&v| v % 256).expect("distinct keys");
-    });
-    let part_par = best_of_3(|| {
-        q_par.partition(&keys, |&v| v % 256).expect("distinct keys");
-    });
+    let partition = |q: &Queryable<u32>| {
+        q.partition(&keys, |&v| v % 256).expect("distinct keys");
+    };
+    let ((part_seq, ()), (part_par, ())) = best_of(3, || partition(&q_seq), || partition(&q_par));
     let part_speedup = part_seq as f64 / part_par as f64;
 
     // Synthetic trace generation: scatter trace, 8k IPs.
@@ -405,12 +394,10 @@ fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
         ips: 8_000,
         ..ScatterConfig::default()
     };
-    let gen_seq = best_of_3(|| {
-        generate_with(cfg.clone(), &seq);
-    });
-    let gen_par = best_of_3(|| {
-        generate_with(cfg.clone(), &par);
-    });
+    let generate = |pool: &ExecPool| {
+        generate_with(cfg.clone(), pool);
+    };
+    let ((gen_seq, ()), (gen_par, ())) = best_of(3, || generate(&seq), || generate(&par));
     let gen_speedup = gen_seq as f64 / gen_par as f64;
 
     // Grouping: fig1's TCP data packets by `(flow, seq)`, from the
@@ -418,16 +405,18 @@ fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
     // two kernels above.
     let packets = Queryable::from_shared_shards(datasets::hotspot_shards().clone(), &acct, &noise)
         .filter(|p| FlowKey::of(p).is_tcp() && !p.flags.is_syn() && !p.payload.is_empty());
-    let group_time = |pool: &ExecPool| {
-        let data = packets
+    let data = |pool: &ExecPool| {
+        packets
             .clone()
             .with_ctx(ExecCtx::pool(pool))
-            .collect_protected();
-        best_of_3(|| {
-            data.group_by(|p| (FlowKey::of(p), p.seq));
-        })
+            .collect_protected()
     };
-    let group_speedup = group_time(&seq) as f64 / group_time(&par) as f64;
+    let (data_seq, data_par) = (data(&seq), data(&par));
+    let group = |q: &Queryable<dpnet_trace::Packet>| {
+        q.group_by(|p| (FlowKey::of(p), p.seq));
+    };
+    let ((group_seq, ()), (group_par, ())) = best_of(3, || group(&data_seq), || group(&data_par));
+    let group_speedup = group_seq as f64 / group_par as f64;
 
     println!("partition kernel:  {part_speedup:.2}x at {workers} workers");
     println!("trace-gen kernel:  {gen_speedup:.2}x at {workers} workers");
@@ -445,21 +434,18 @@ fn cmd_kernel_speedup(workers: usize, min: f64) -> i32 {
 const PROFILE_TOP: usize = 3;
 
 fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let (a_text, b_text) = match (read(a_path), read(b_path)) {
+    let (a, b) = match (load(a_path, false), load(b_path, false)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    let a_cal = field_u64(&a_text, "calibration_ns").unwrap_or(1).max(1) as f64;
-    let b_cal = field_u64(&b_text, "calibration_ns").unwrap_or(1).max(1) as f64;
+    let (a_cal, b_cal) = (a.calibration(), b.calibration());
     // Reports written before the profiler existed have no attribution
     // array at all; name the offending file instead of diffing nothing.
-    for (path, text) in [(a_path, &a_text), (b_path, &b_text)] {
-        if !text.contains("\"attribution\":[") {
+    for (path, report) in [(a_path, &a), (b_path, &b)] {
+        if report.experiments.iter().all(|e| e.attribution.is_none()) {
             eprintln!(
                 "bench_guard: {path} carries no attribution array — it was \
                  not produced by a profiled run; regenerate it with \
@@ -468,8 +454,8 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
             return 2;
         }
     }
-    let a_rows = attribution_totals(&a_text);
-    let b_rows = attribution_totals(&b_text);
+    let a_rows = a.attribution_totals();
+    let b_rows = b.attribution_totals();
     if a_rows.is_empty() && b_rows.is_empty() {
         eprintln!("bench_guard: neither report carries attribution (profiled runs only)");
         return 2;
@@ -533,25 +519,15 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
 /// The experiment set the committed baseline covers.
 const BASELINE_IDS: [&str; 3] = ["fig1", "itemsets", "worm"];
 
-/// Run one pool-aware experiment for `record`, discarding its report text.
+/// Run one baseline experiment for `record`, discarding its report text.
 fn run_baseline_experiment(id: &str, pool: &ExecPool) -> Result<(), String> {
-    match id {
-        "fig1" => exp::fig1::run_with(1.0, pool)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        "itemsets" => {
-            exp::itemsets_exp::run_with(1.0, pool);
-            Ok(())
-        }
-        "worm" => {
-            exp::worm_exp::run_with(pool);
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown baseline experiment id '{other}' (expected one of {})",
+    if !BASELINE_IDS.contains(&id) {
+        return Err(format!(
+            "unknown baseline experiment id '{id}' (expected one of {})",
             BASELINE_IDS.join(" ")
-        )),
+        ));
     }
+    run_experiment(id, pool).map(|_| ())
 }
 
 fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
@@ -683,18 +659,18 @@ fn check_fixture_text(name: &str, text: &str) -> Result<String, String> {
             Err(e) => Err(format!("does not parse as a current explain report: {e}")),
         };
     }
-    match field_u64(text, "schema_version") {
+    let report = Report::parse(text).ok_or("does not parse as JSON")?;
+    match report.schema_version {
         Some(v) if v == SCHEMA_VERSION => {
             if name == "BENCH_serve.json" {
                 // Serve reports (schema 3) must carry the latency section:
                 // a serve fixture without percentiles predates the serving
                 // architecture no matter what version it stamps.
-                for field in ["\"latency\":", "\"p50_ns\":", "\"p95_ns\":", "\"p99_ns\":"] {
-                    if !text.contains(field) {
-                        return Err(format!(
-                            "schema_version {v} but no {field} section — not a serve report"
-                        ));
-                    }
+                if !report.experiments.iter().any(|e| e.latency_percentiles) {
+                    return Err(format!(
+                        "schema_version {v} but no latency section with p50/p95/p99 \
+                         percentiles — not a serve report"
+                    ));
                 }
                 return Ok(format!("schema_version {v}, latency percentiles present"));
             }
@@ -702,7 +678,9 @@ fn check_fixture_text(name: &str, text: &str) -> Result<String, String> {
                 // `repro --workers N <id>` writes the same file name as
                 // `dpnet profile <id> --workers N`, but records no spans:
                 // a profile fixture must attribute every experiment.
-                if !text.contains("\"attribution\":[") || text.contains("\"attribution\":[]") {
+                let unattributed =
+                    |e: &Experiment| e.attribution.as_ref().map_or(true, Vec::is_empty);
+                if report.experiments.is_empty() || report.experiments.iter().any(unattributed) {
                     return Err(format!(
                         "schema_version {v} but an experiment has no attribution — \
                          written by `repro --workers N`, not `dpnet profile`"
@@ -772,7 +750,7 @@ fn profile_report_target(name: &str) -> Option<(&str, usize)> {
 /// without `nproc` predates the field and draws no warning.
 fn oversubscription_warning(name: &str, text: &str) -> Option<String> {
     let (_, workers) = profile_report_target(name)?;
-    let nproc = field_u64(text, "nproc")?;
+    let nproc = Report::parse(text)?.nproc?;
     (workers as u64 > nproc)
         .then(|| format!("recorded with {workers} workers on {nproc} CPUs (oversubscribed)"))
 }
@@ -841,17 +819,13 @@ fn cmd_record_check(out_dir: &str) -> i32 {
 }
 
 fn cmd_golden(current: &str, golden: &str) -> i32 {
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let (cur_text, gold_text) = match (read(current), read(golden)) {
-        (Ok(c), Ok(g)) => (c, g),
+    let (cur, gold) = match (load(current, false), load(golden, false)) {
+        (Ok(c), Ok(g)) => (c.experiments, g.experiments),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    let cur = experiment_semantics(&cur_text);
-    let gold = experiment_semantics(&gold_text);
     let mut failed = false;
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
     for g in &gold {
@@ -1202,14 +1176,16 @@ mod tests {
 
     #[test]
     fn fields_parse() {
-        assert_eq!(field_u64(SAMPLE, "calibration_ns"), Some(1000));
-        assert_eq!(field_u64(SAMPLE, "workers"), Some(4));
-        assert_eq!(field_u64(SAMPLE, "missing"), None);
+        let r = Report::parse(SAMPLE).unwrap();
+        assert_eq!(r.calibration_ns, Some(1000));
+        assert_eq!(r.workers, Some(4));
+        assert_eq!(r.schema_version, None);
+        assert!(Report::parse("not json").is_none());
     }
 
     #[test]
     fn experiment_walls_skip_phase_walls() {
-        let walls = experiment_walls(SAMPLE);
+        let walls = Report::parse(SAMPLE).unwrap().walls();
         assert_eq!(
             walls,
             vec![("fig1".to_string(), 5000), ("worm".to_string(), 7000)]
@@ -1218,22 +1194,12 @@ mod tests {
 
     #[test]
     fn semantics_capture_eps_and_phases_but_not_walls() {
-        let sems = experiment_semantics(SAMPLE);
-        assert_eq!(
-            sems,
-            vec![
-                ExpSemantics {
-                    id: "fig1".to_string(),
-                    eps_charged: 1.0,
-                    phases: vec![("p".to_string(), 1.0)],
-                },
-                ExpSemantics {
-                    id: "worm".to_string(),
-                    eps_charged: 1.0,
-                    phases: vec![],
-                },
-            ]
-        );
+        let exps = Report::parse(SAMPLE).unwrap().experiments;
+        let ids: Vec<&str> = exps.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["fig1", "worm"]);
+        assert!(exps.iter().all(|e| e.eps_charged == 1.0));
+        assert_eq!(exps[0].phases, vec![("p".to_string(), 1.0)]);
+        assert!(exps[1].phases.is_empty());
     }
 
     #[test]
@@ -1243,7 +1209,7 @@ mod tests {
                                      {"name":"plan/materialize","count":1,"total_ns":600,"self_ns":600}]},
             {"id":"b","attribution":[{"name":"noisy_count","count":1,"total_ns":100,"self_ns":100}]}
         ]}"#;
-        let rows = attribution_totals(json);
+        let rows = Report::parse(json).unwrap().attribution_totals();
         assert_eq!(rows.len(), 2);
         assert_eq!(
             rows["noisy_count"],
@@ -1254,7 +1220,8 @@ mod tests {
             }
         );
         assert_eq!(rows["plan/materialize"].self_ns, 600);
-        assert!(attribution_totals(r#"{"experiments":[{"id":"a","attribution":[]}]}"#).is_empty());
+        let empty = Report::parse(r#"{"experiments":[{"id":"a","attribution":[]}]}"#).unwrap();
+        assert!(empty.attribution_totals().is_empty());
     }
 
     const EXPLAIN_SAMPLE: &str = r#"{"explain":"fig1","predicted_total":3.0,"aggregations":[{"operator":"noisy_count","path":"part[*]/scale(x1)/root","calls":250,"requested_eps":2.0,"predicted_eps":1.0},{"operator":"noisy_count","path":"root","calls":250,"requested_eps":2.0,"predicted_eps":2.0}],"paths":[{"path":"part[*]/scale(x1)/root","calls":500,"predicted_eps":1.0},{"path":"root","calls":250,"predicted_eps":2.0}]}"#;
@@ -1436,9 +1403,10 @@ mod tests {
 
     #[test]
     fn float_fields_parse_with_fractions_and_exponents() {
-        let json = r#"{"eps_charged":6.000000000000003,"tiny":1e-9}"#;
-        assert_eq!(field_f64(json, "eps_charged"), Some(6.000000000000003));
-        assert_eq!(field_f64(json, "tiny"), Some(1e-9));
-        assert_eq!(field_f64(json, "absent"), None);
+        let json = r#"{"experiments":[{"id":"a","eps_charged":6.000000000000003,
+            "phases":[{"name":"p","eps_spent":1e-9},{"name":"absent"}]}]}"#;
+        let e = &Report::parse(json).unwrap().experiments[0];
+        assert_eq!(e.eps_charged, 6.000000000000003);
+        assert_eq!(e.phases, vec![("p".to_string(), 1e-9)]);
     }
 }

@@ -7,7 +7,7 @@
 //! repro <id> [<id> ...]     # one or more of:
 //!       table1 example23 fig1 table4 itemsets fig2 worm fig3
 //!       table5 fig4 fig5 table2
-//! repro --workers N <id>…   # run pool-aware experiments on N workers
+//! repro --workers N <id>…   # run fig1, itemsets and worm on N workers
 //! repro --profile <id>…     # record spans; adds per-operator attribution
 //! repro --explain <id>…     # also write bench-reports/EXPLAIN_<id>.txt
 //! ```
@@ -15,10 +15,11 @@
 //! An unknown id fails the whole run before anything executes: exit 2,
 //! the id list on stderr, and no report written.
 //!
-//! With `--workers N` (N ≥ 1), the experiments that have worker-pool
-//! variants (`fig1`, `itemsets`, `worm`) run on a shared [`pinq::ExecPool`];
-//! the rest are unaffected. Output is deterministic: for a fixed seed, any
-//! two worker counts produce identical results. The report target gains a
+//! With `--workers N` (N ≥ 1), the experiments that take an execution
+//! context (`fig1`, `itemsets`, `worm`) run on a shared [`pinq::ExecPool`]
+//! bound as their [`pinq::ExecCtx`]; the rest run on the calling thread.
+//! Output is deterministic: for a fixed seed, any two worker counts
+//! produce identical results. The report target gains a
 //! `-wN` suffix when N > 1, so `BENCH_fig1.json` and `BENCH_fig1-w4.json`
 //! can be compared side by side.
 //!

@@ -14,7 +14,7 @@ use crate::datasets;
 use crate::report::{f, header, Table};
 use dpnet_toolkit::itemsets::{exact_support, frequent_itemsets, ItemsetConfig};
 use dpnet_trace::gen::hotspot::COMMON_PORTS;
-use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 use std::collections::BTreeSet;
 
 /// One discovered port pair.
@@ -44,17 +44,6 @@ fn host_port_sets(packets: &[dpnet_trace::Packet]) -> Vec<BTreeSet<u32>> {
     per_host.into_values().collect()
 }
 
-/// Run the port-itemset discovery at per-level accuracy `eps`.
-pub fn run(eps: f64) -> (Vec<ItemsetRow>, String) {
-    run_ctx(eps, ExecCtx::Sequential)
-}
-
-/// [`run`] on a worker pool. Mining is bit-identical to the sequential
-/// path for every worker count (only partition data movement fans out).
-pub fn run_with(eps: f64, pool: &ExecPool) -> (Vec<ItemsetRow>, String) {
-    run_ctx(eps, ExecCtx::pool(pool))
-}
-
 /// The private per-host port-set view: one `BTreeSet<u32>` record per
 /// source host, holding its destination ports. Each record carries the
 /// host address as an item outside the 16-bit port space, keeping records
@@ -75,7 +64,10 @@ pub fn private_host_port_sets(
     })
 }
 
-fn run_ctx(eps: f64, ctx: ExecCtx) -> (Vec<ItemsetRow>, String) {
+/// Run the port-itemset discovery at per-level accuracy `eps`, on `ctx`.
+/// Mining releases the same values on the calling thread and on a pool of
+/// any size (only partition data movement fans out).
+pub fn run(eps: f64, ctx: ExecCtx) -> (Vec<ItemsetRow>, String) {
     let trace = datasets::hotspot();
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x17e3);
@@ -150,7 +142,7 @@ mod tests {
 
     #[test]
     fn planted_port_pairs_are_recovered_in_order() {
-        let (rows, report) = run(1.0);
+        let (rows, report) = run(1.0, ExecCtx::Sequential);
         assert!(rows.len() >= 5, "too few pairs: {}", rows.len());
         // Every one of the top-5 discovered pairs is genuinely frequent.
         let mut exacts: Vec<usize> = rows.iter().map(|r| r.exact).collect();

@@ -7,12 +7,13 @@
 //! matching this reproduction's choices); the accuracy level is measured by
 //! running each analysis at ε = 0.1, 1, 10 and applying a fixed criterion.
 
+use crate::datasets;
 use crate::experiments::{fig2, fig3, fig5, table5, worm_exp};
 use crate::report::{header, Table};
 use dpnet_analyses::anomaly::{
     anomaly_norms, flag_anomalies, private_anomaly_norms, AnomalyConfig,
 };
-use pinq::{Accountant, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 
 /// One summary row.
 #[derive(Debug, Clone)]
@@ -87,7 +88,7 @@ pub fn run() -> (Vec<Table2Row>, String) {
         .map(|(e, _)| *e);
 
     // Worm fingerprinting: smallest ε recovering ≥ 95% of signatures.
-    let (wr, _) = worm_exp::run();
+    let (wr, _) = worm_exp::run(datasets::hotspot(), ExecCtx::Sequential);
     let worm_eps = wr
         .recovery
         .iter()

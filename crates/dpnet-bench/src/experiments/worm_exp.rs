@@ -5,13 +5,11 @@
 //! and 29 of them at ε = 0.1, 1.0, 10.0 — the missed payloads being those
 //! with low overall presence but above-average dispersal.
 
-use crate::datasets::{self, EPSILONS};
+use crate::datasets::EPSILONS;
 use crate::report::{f, header, Table};
-use dpnet_analyses::worm::{
-    worm_fingerprints, worm_fingerprints_exact, worm_fingerprints_with, WormConfig,
-};
+use dpnet_analyses::worm::{worm_fingerprints, worm_fingerprints_exact, WormConfig};
 use dpnet_trace::FlowKey;
-use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 use std::collections::HashSet;
 
 /// Recovery result per privacy level.
@@ -37,44 +35,18 @@ pub struct WormResult {
     pub recovery: Vec<WormRecovery>,
 }
 
-/// Run the worm experiment over the standard Hotspot trace.
-pub fn run() -> (WormResult, String) {
-    run_on(datasets::hotspot())
-}
-
-/// [`run`] on a worker pool. The fingerprint search itself is deterministic
-/// for every worker count, but draws per-part noise substreams, so its
-/// released values form a different (equally valid) sample than the
-/// sequential [`run`] at the same seed.
-pub fn run_with(pool: &ExecPool) -> (WormResult, String) {
-    run_on_with(datasets::hotspot(), pool)
-}
-
-/// Run the worm experiment over a caller-supplied trace (used by tests to
-/// keep debug-mode runtimes reasonable).
-pub fn run_on(trace: &dpnet_trace::gen::hotspot::HotspotTrace) -> (WormResult, String) {
-    run_on_impl(trace, None)
-}
-
-/// [`run_on`] on a worker pool.
-pub fn run_on_with(
-    trace: &dpnet_trace::gen::hotspot::HotspotTrace,
-    pool: &ExecPool,
-) -> (WormResult, String) {
-    run_on_impl(trace, Some(pool))
-}
-
-fn run_on_impl(
-    trace: &dpnet_trace::gen::hotspot::HotspotTrace,
-    pool: Option<&ExecPool>,
-) -> (WormResult, String) {
+/// Run the worm experiment over `trace` (the standard Hotspot trace, or a
+/// smaller one in tests), on `ctx`. The fingerprint search draws per-part
+/// noise substreams, so its releases are the same on the calling thread
+/// and on a pool of any size.
+pub fn run(trace: &dpnet_trace::gen::hotspot::HotspotTrace, ctx: ExecCtx) -> (WormResult, String) {
     let exact = worm_fingerprints_exact(&trace.packets, 8, 50, 50);
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x3042);
     // Generator-emitted shards: the trace enters the engine pre-chunked
     // (flat order unchanged, so releases are identical to a flat source).
-    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise);
+    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise).with_ctx(ctx);
 
     // The paper's companion measurement: count payload groups with > 5
     // distinct sources and destinations, without revealing the payloads.
@@ -95,11 +67,7 @@ fn run_on_impl(
             presence_threshold: 50.0,
             ..WormConfig::default()
         };
-        let found = match pool {
-            None => worm_fingerprints(&q, &cfg),
-            Some(pool) => worm_fingerprints_with(&q, &cfg, pool),
-        }
-        .expect("budget");
+        let found = worm_fingerprints(&q, &cfg).expect("budget");
         let found_set: HashSet<Vec<u8>> = found.iter().map(|w| w.payload.clone()).collect();
         let recovered = exact.iter().filter(|p| found_set.contains(*p)).count();
         let false_positives = found_set.len() - recovered.min(found_set.len());
@@ -156,7 +124,7 @@ mod tests {
             itemset_hosts: 20,
             ..Default::default()
         });
-        let (r, report) = run_on(&trace);
+        let (r, report) = run(&trace, ExecCtx::Sequential);
         assert!(
             r.exact_count >= 20,
             "exact set too small: {}",

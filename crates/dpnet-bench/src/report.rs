@@ -624,11 +624,10 @@ mod tests {
         assert!(json.contains("\"budget_exhausted\":8"));
         assert!(json.contains("\"p50_ns\":1000"));
         assert!(json.contains("\"p99_ns\":9000"));
-        // The latency object is flat and parses with the obs parser.
-        let start = json.find("\"latency\":").unwrap() + "\"latency\":".len();
-        let end = json[start..].find('}').unwrap() + start + 1;
-        let parsed = dpnet_obs::json::parse_flat_object(&json[start..end]).unwrap();
-        assert_eq!(parsed["p95_ns"].as_f64(), Some(5_000.0));
+        // The report parses with the obs parser, latency included.
+        let parsed = dpnet_obs::json::parse_value(&json).unwrap();
+        let latency = &parsed["experiments"].items().unwrap()[0]["latency"];
+        assert_eq!(latency["p95_ns"].as_f64(), Some(5_000.0));
         // Runs without latency do not carry the key.
         let mut plain = RunReport::new("x");
         plain.record("fig1", 1, &[]);
@@ -655,11 +654,12 @@ mod tests {
         assert!(json.contains("\"id\":\"fig1\""));
         assert!(json.contains("\"name\":\"cdf_partition\""));
         assert!(json.contains("\"eps_charged\":0.5"));
-        // The inner phase objects are flat and parse with the obs parser.
-        let start = json.find("{\"name\":").unwrap();
-        let end = json[start..].find('}').unwrap() + start + 1;
-        let parsed = dpnet_obs::json::parse_flat_object(&json[start..end]).unwrap();
-        assert_eq!(parsed["eps_spent"].as_f64(), Some(0.5));
+        // The report parses with the obs parser, phases included.
+        let parsed = dpnet_obs::json::parse_value(&json).unwrap();
+        let phase = &parsed["experiments"].items().unwrap()[0]["phases"]
+            .items()
+            .unwrap()[0];
+        assert_eq!(phase["eps_spent"].as_f64(), Some(0.5));
     }
 
     fn sample_spans() -> Vec<CompletedSpan> {

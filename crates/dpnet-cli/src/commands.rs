@@ -979,7 +979,7 @@ mod tests {
         let text = std::fs::read_to_string(&ledger).unwrap();
         let mut saw_summary = false;
         for line in text.lines() {
-            let obj = dpnet_obs::json::parse_flat_object(line)
+            let obj = dpnet_obs::json::parse_value(line)
                 .unwrap_or_else(|| panic!("unparseable audit line: {line}"));
             if obj["type"].as_str() == Some("summary") {
                 saw_summary = true;

@@ -1,8 +1,9 @@
 //! A deliberately tiny JSON layer: an object writer for event/report
-//! serialization and a parser for *flat* objects (string/number/bool/null
-//! values only — exactly the shape of the JSONL audit export). Not a general
-//! JSON implementation, and not trying to be one; the point is zero
-//! dependencies and a surface small enough to audit by eye.
+//! serialization and one parser, [`parse_value`], for reading back what
+//! the workspace writes (JSONL audit lines, run reports, traces, explain
+//! reports). Not a general JSON implementation, and not trying to be one;
+//! the point is zero dependencies and a surface small enough to audit by
+//! eye.
 
 use std::collections::BTreeMap;
 
@@ -107,37 +108,6 @@ impl JsonObj {
     }
 }
 
-/// A scalar value from a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A string value (unescaped).
-    Str(String),
-    /// A numeric value.
-    Num(f64),
-    /// A boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-}
-
-impl JsonScalar {
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
 type CharStream<'a> = std::iter::Peekable<std::str::Chars<'a>>;
 
 fn skip_ws(chars: &mut CharStream<'_>) {
@@ -176,67 +146,21 @@ fn parse_string(chars: &mut CharStream<'_>) -> Option<String> {
     }
 }
 
-/// Parse one flat JSON object (`{"k": scalar, ...}` — no nesting, no
-/// arrays). Returns `None` on any malformed input rather than guessing.
-pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JsonScalar>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = BTreeMap::new();
-
-    skip_ws(&mut chars);
-    if chars.next()? != '{' {
-        return None;
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        return Some(out);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek()? {
-            '"' => JsonScalar::Str(parse_string(&mut chars)?),
-            't' | 'f' | 'n' => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => JsonScalar::Bool(true),
-                    "false" => JsonScalar::Bool(false),
-                    "null" => JsonScalar::Null,
-                    _ => return None,
-                }
-            }
-            _ => {
-                let tok: String = std::iter::from_fn(|| {
-                    chars
-                        .next_if(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                })
-                .collect();
-                JsonScalar::Num(tok.parse().ok()?)
-            }
-        };
-        out.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next()? {
-            ',' => continue,
-            '}' => break,
-            _ => return None,
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(out)
-}
-
 /// Any JSON value, nesting included. Returned by [`parse_value`]; used to
-/// verify that documents the crate *emits* (Chrome traces, explain
-/// reports) parse back without an external JSON library.
+/// read back documents the workspace *emits* (audit lines, run reports,
+/// Chrome traces, explain reports) without an external JSON library.
+///
+/// Indexing an object by key yields the member, or [`JsonValue::Null`]
+/// when the key is absent or the value is not an object:
+///
+/// ```
+/// use dpnet_obs::json::parse_value;
+///
+/// let v = parse_value(r#"{"type":"summary","spent":0.25}"#).unwrap();
+/// assert_eq!(v["type"].as_str(), Some("summary"));
+/// assert_eq!(v["spent"].as_f64(), Some(0.25));
+/// assert_eq!(v["absent"].as_f64(), None);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// A string (unescaped).
@@ -284,6 +208,14 @@ impl JsonValue {
             JsonValue::Arr(v) => Some(v),
             _ => None,
         }
+    }
+}
+
+impl std::ops::Index<&str> for JsonValue {
+    type Output = JsonValue;
+
+    fn index(&self, key: &str) -> &JsonValue {
+        self.get(key).unwrap_or(&JsonValue::Null)
     }
 }
 
@@ -399,7 +331,7 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let mut o = JsonObj::new();
         o.field_str("k", nasty);
-        let parsed = parse_flat_object(&o.finish()).expect("parses");
+        let parsed = parse_value(&o.finish()).expect("parses");
         assert_eq!(parsed["k"].as_str(), Some(nasty));
     }
 
@@ -410,7 +342,7 @@ mod tests {
             .field_f64("eps", 1e-9)
             .field_f64("neg", -2.5)
             .field_u64("n", u64::MAX);
-        let m = parse_flat_object(&o.finish()).expect("parses");
+        let m = parse_value(&o.finish()).expect("parses");
         assert_eq!(m["op"].as_str(), Some("noisy_count"));
         assert_eq!(m["eps"].as_f64(), Some(1e-9));
         assert_eq!(m["neg"].as_f64(), Some(-2.5));
@@ -419,22 +351,15 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_rejected() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\":}",
-            "{\"a\":1,}",
-            "{\"a\":1} trailing",
-            "[1,2]",
-            "{\"a\":{\"nested\":1}}",
-        ] {
-            assert!(parse_flat_object(bad).is_none(), "accepted {bad:?}");
+        for bad in ["", "{", "{\"a\":}", "{\"a\":1,}", "{\"a\":1} trailing"] {
+            assert!(parse_value(bad).is_none(), "accepted {bad:?}");
         }
     }
 
     #[test]
     fn empty_object_is_fine() {
-        assert!(parse_flat_object("{}").expect("parses").is_empty());
+        assert_eq!(parse_value("{}"), Some(JsonValue::Obj(BTreeMap::new())));
+        assert_eq!(parse_value("{}").unwrap()["any"], JsonValue::Null);
     }
 
     #[test]
@@ -460,17 +385,5 @@ mod tests {
         assert!(parse_value(&deep).is_none(), "accepted 100-deep nesting");
         let fine = format!("{}1{}", "[".repeat(10), "]".repeat(10));
         assert!(parse_value(&fine).is_some());
-    }
-
-    #[test]
-    fn parse_value_agrees_with_flat_parser_on_flat_objects() {
-        let line = r#"{"op":"noisy_count","eps":0.25,"ok":true,"label":null}"#;
-        let flat = parse_flat_object(line).expect("flat parses");
-        let v = parse_value(line).expect("value parses");
-        assert_eq!(flat["op"].as_str(), v.get("op").and_then(JsonValue::as_str));
-        assert_eq!(
-            flat["eps"].as_f64(),
-            v.get("eps").and_then(JsonValue::as_f64)
-        );
     }
 }

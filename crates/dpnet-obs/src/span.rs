@@ -589,7 +589,7 @@ mod tests {
         assert!(j.contains("\"type\":\"span\""));
         assert!(j.contains("\"name\":\"noisy_sum\""));
         assert!(j.contains("\"detail\":\"scale(x2)/root\""));
-        let parsed = crate::json::parse_flat_object(&j).expect("flat JSON");
+        let parsed = crate::json::parse_value(&j).expect("JSON");
         assert_eq!(parsed["type"].as_str(), Some("span"));
         assert!(parsed["dur_ns"].as_f64().is_some());
     }

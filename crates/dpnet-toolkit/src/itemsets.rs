@@ -69,6 +69,9 @@ where
     let mut results: Vec<FrequentItemset<I>> = Vec::new();
     let mut levels_run = 0usize;
 
+    // Every level counts the same records: force a pending fused plan
+    // once instead of streaming it again per level.
+    let data = data.collect_protected();
     // Level-1 candidates: singletons over the universe.
     let mut candidates: Vec<Vec<I>> = cfg.universe.iter().map(|i| vec![i.clone()]).collect();
 
@@ -77,31 +80,34 @@ where
             break;
         }
         levels_run = level;
-        let keys: Vec<Vec<I>> = candidates.clone();
-        let key_set: Vec<BTreeSet<I>> = keys.iter().map(|k| k.iter().cloned().collect()).collect();
-        let keys_in_closure = keys.clone();
+        let key_set: Vec<BTreeSet<I>> = candidates
+            .iter()
+            .map(|k| k.iter().cloned().collect())
+            .collect();
         // Partition records among the candidates they support, rotating by
         // record hash to spread the evidence.
-        let parts = data.partition(&keys, move |rec: &BTreeSet<I>| {
-            let keys = &keys_in_closure;
-            let matching: Vec<usize> = key_set
-                .iter()
-                .enumerate()
-                .filter(|(_, cand)| cand.is_subset(rec))
-                .map(|(i, _)| i)
-                .collect();
-            if matching.is_empty() {
-                // A key outside the candidate list: the record is dropped.
-                Vec::new()
-            } else {
-                let pick = (stable_hash(rec) as usize) % matching.len();
-                keys[matching[pick]].clone()
-            }
-        })?;
+        let counts = data.partition_noisy_counts(
+            &candidates,
+            |rec: &BTreeSet<I>| {
+                let matching: Vec<usize> = key_set
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, cand)| cand.is_subset(rec))
+                    .map(|(i, _)| i)
+                    .collect();
+                if matching.is_empty() {
+                    // A key outside the candidate list: the record is dropped.
+                    Vec::new()
+                } else {
+                    let pick = (stable_hash(rec) as usize) % matching.len();
+                    candidates[matching[pick]].clone()
+                }
+            },
+            cfg.eps_per_level,
+        )?;
 
         let mut survivors: Vec<(Vec<I>, f64)> = Vec::new();
-        for (cand, part) in candidates.iter().zip(&parts) {
-            let c = part.noisy_count(cfg.eps_per_level)?;
+        for (cand, c) in candidates.iter().zip(counts) {
             if c > cfg.threshold {
                 survivors.push((cand.clone(), c));
             }

@@ -649,7 +649,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let path_line = text
             .lines()
-            .map(|l| dpnet_obs::json::parse_flat_object(l).expect("parseable"))
+            .map(|l| dpnet_obs::json::parse_value(l).expect("parseable"))
             .find(|o| o["type"].as_str() == Some("path"))
             .expect("a path line");
         assert_eq!(path_line["name"].as_str(), Some("scale(x4)/root"));
@@ -697,7 +697,7 @@ mod tests {
         let mut operator_eps = 0.0;
         let mut summary_spent = None;
         for line in text.lines() {
-            let obj = dpnet_obs::json::parse_flat_object(line)
+            let obj = dpnet_obs::json::parse_value(line)
                 .unwrap_or_else(|| panic!("unparseable line {line}"));
             match obj["type"].as_str().unwrap() {
                 "operator" => operator_eps += obj["eps"].as_f64().unwrap(),

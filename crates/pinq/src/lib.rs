@@ -24,7 +24,10 @@
 //!
 //! * **Sequential composition** ([`budget`]): costs of successive queries add.
 //! * **Parallel composition** (`Partition`): queries on disjoint parts of a
-//!   [`Queryable::partition`] cost only their maximum.
+//!   [`Queryable::partition`] cost only their maximum. The per-part queries
+//!   run through one fan-out API: [`Queryable::partition_noisy_counts`]
+//!   counts every part in one pass, and [`Queryable::partition_map`] runs
+//!   any other per-part query on the queryable's [`ExecCtx`].
 //!
 //! ## Guarantee
 //!
@@ -59,7 +62,8 @@ pub mod explain;
 mod group;
 pub mod kernel;
 pub mod mechanisms;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 mod plan;
 pub mod policy;
 pub mod queryable;

@@ -1,103 +1,13 @@
-//! Parallel execution over partitioned data.
-//!
-//! PINQ's declarative form is what lets analyses scale out — the paper's
-//! footnote notes that "because it is based on LINQ, the analyses will also
-//! automatically scale to a cluster (DryadLINQ)". The single-machine analog
-//! here: the parts of a `Partition` are disjoint and every piece of shared
-//! state (the budget accountant, the partition ledger, the noise source) is
-//! thread-safe, so per-part queries can run on an [`ExecPool`] with no
-//! change to the privacy semantics.
-//!
-//! Each part is handed its own deterministic noise substream (see
-//! [`NoiseSource::substream`](crate::rng::NoiseSource::substream)), derived
-//! on the coordinating thread in part order before dispatch. Workers
-//! therefore never race on a shared generator, and the released values at a
-//! fixed seed are identical for **any** worker count.
-//!
-//! ```
-//! use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
-//! use pinq::parallel::parallel_map_parts;
-//!
-//! let budget = Accountant::new(1.0);
-//! let noise = NoiseSource::seeded(1);
-//! let data = Queryable::new((0..100_000u32).collect::<Vec<_>>(), &budget, &noise);
-//! let keys: Vec<u32> = (0..16).collect();
-//! let parts = data.partition(&keys, |&x| x % 16).unwrap();
-//!
-//! // Sixteen noisy counts, measured concurrently, one ε charged (parallel
-//! // composition is about *privacy*; this module adds parallel *compute*).
-//! let counts = parallel_map_parts(&parts, 4, |part| part.noisy_count(0.5)).unwrap();
-//! assert_eq!(counts.len(), 16);
-//! assert!((budget.spent() - 0.5).abs() < 1e-12);
-//!
-//! // `workers: 0` is refused, not clamped.
-//! assert!(parallel_map_parts(&parts, 0, |p| p.stability()).is_err());
-//! # let _ = ExecPool::new(2);
-//! ```
+//! Parallel composition on worker pools, tested through the one fan-out
+//! API: [`Queryable::partition_map`](crate::Queryable::partition_map) under
+//! an [`ExecCtx::Pool`](crate::ExecCtx::Pool) measures every part on the
+//! pool, releases what the calling thread releases at the same seed, and
+//! charges the budget the max of the parts. Test-only: the fan-out itself
+//! lives on `Queryable`.
 
-use crate::error::Result;
-use crate::exec::ExecPool;
-use crate::queryable::Queryable;
-
-/// Apply `f` to every part on up to `workers` threads, preserving order.
-///
-/// `f` runs on borrowed queryables; each invocation may perform its own
-/// transformations and aggregations. Results come back in part order.
-/// Returns [`crate::Error::InvalidWorkers`] for `workers: 0`.
-pub fn parallel_map_parts<T, R, F>(parts: &[Queryable<T>], workers: usize, f: F) -> Result<Vec<R>>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&Queryable<T>) -> R + Send + Sync,
-{
-    let pool = ExecPool::new(workers)?;
-    Ok(parallel_map_parts_with(parts, &pool, f))
-}
-
-/// [`parallel_map_parts`] over a caller-supplied [`ExecPool`].
-///
-/// Before dispatch, each part is re-bound to a private noise substream —
-/// derived in part order on the calling thread — so noise draws inside `f`
-/// are deterministic at a fixed seed regardless of worker count or
-/// scheduling. Budget accounting is untouched: parts keep their ledger, and
-/// spends race safely on the thread-safe accountant.
-pub fn parallel_map_parts_with<T, R, F>(parts: &[Queryable<T>], pool: &ExecPool, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&Queryable<T>) -> R + Send + Sync,
-{
-    let prof = dpnet_obs::span::enter("map_parts");
-    prof.set_records(parts.len() as u64);
-    let timer = dpnet_obs::SpanTimer::start();
-    let staged: Vec<Queryable<T>> = parts.iter().map(|p| p.with_substream()).collect();
-    let out = pool.run(&staged, |_, part| f(part));
-    if let Some(first) = parts.first() {
-        first.emit_exec("map_parts", pool.workers(), parts.len(), timer.elapsed_ns());
-    }
-    out
-}
-
-/// Convenience: noisy counts of every part, concurrently. Returns one
-/// result per part, in order. The outer `Result` reports an invalid worker
-/// count; the inner ones report per-part budget refusals.
-pub fn parallel_counts<T>(
-    parts: &[Queryable<T>],
-    workers: usize,
-    eps: f64,
-) -> Result<Vec<Result<f64>>>
-where
-    T: Send + Sync,
-{
-    parallel_map_parts(parts, workers, |p| p.noisy_count(eps))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::budget::Accountant;
     use crate::error::Error;
-    use crate::rng::NoiseSource;
+    use crate::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 
     fn dataset(n: u32, budget: f64) -> (Accountant, Queryable<u32>) {
         let acct = Accountant::new(budget);
@@ -108,12 +18,18 @@ mod tests {
         )
     }
 
+    fn on_pool(q: Queryable<u32>, workers: usize) -> Queryable<u32> {
+        q.with_ctx(ExecCtx::pool(&ExecPool::new(workers).unwrap()))
+    }
+
     #[test]
     fn parallel_counts_match_part_sizes() {
         let (acct, q) = dataset(64_000, 10.0);
         let keys: Vec<u32> = (0..32).collect();
-        let parts = q.partition(&keys, |&x| x % 32).unwrap();
-        let counts = parallel_counts(&parts, 8, 5.0).unwrap();
+        let counts = on_pool(q, 8)
+            .partition_map(&keys, |&x| x % 32, |p| p.noisy_count(5.0))
+            .unwrap();
+        assert_eq!(counts.len(), 32);
         for c in &counts {
             let c = *c.as_ref().expect("budget is ample");
             assert!((c - 2000.0).abs() < 10.0, "count {c}");
@@ -124,87 +40,44 @@ mod tests {
 
     #[test]
     fn zero_workers_is_an_error() {
+        // No pool, and so no `ExecCtx`, can carry zero workers: the fan-out
+        // always has at least the calling thread.
+        assert_eq!(ExecPool::new(0).unwrap_err(), Error::InvalidWorkers(0));
+        assert_eq!(ExecCtx::Sequential.workers(), 1);
         let (_, q) = dataset(100, 1.0);
-        let keys: Vec<u32> = (0..4).collect();
-        let parts = q.partition(&keys, |&x| x % 4).unwrap();
-        assert_eq!(
-            parallel_counts(&parts, 0, 0.1).unwrap_err(),
-            Error::InvalidWorkers(0)
-        );
+        assert_eq!(q.ctx().workers(), 1);
     }
 
     #[test]
     fn results_preserve_part_order() {
         let (_, q) = dataset(1000, 1e12);
-        let keys: Vec<u32> = (0..10).collect();
-        let parts = q.partition(&keys, |&x| x % 10).unwrap();
-        // Deterministic per-part value: exact size via a huge epsilon.
-        let sizes = parallel_map_parts(&parts, 4, |p| {
-            p.noisy_count(1e9).expect("budget").round() as usize
-        })
-        .unwrap();
-        assert_eq!(sizes, vec![100; 10]);
-    }
-
-    #[test]
-    fn released_values_are_identical_for_any_worker_count() {
-        // The core determinism contract: a fixed seed fixes every released
-        // value, no matter how many workers measure the parts.
-        let run = |workers: usize| -> Vec<f64> {
-            let acct = Accountant::new(1e12);
-            let noise = NoiseSource::seeded(0xD5);
-            let q = Queryable::new((0..10_000u32).collect::<Vec<_>>(), &acct, &noise);
-            let keys: Vec<u32> = (0..16).collect();
-            let parts = q.partition(&keys, |&x| x % 16).unwrap();
-            parallel_map_parts(&parts, workers, |p| p.noisy_count(0.5).unwrap()).unwrap()
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
-    fn budget_exhaustion_is_reported_per_part() {
-        let (_, q) = dataset(1000, 0.25);
-        let keys: Vec<u32> = (0..4).collect();
-        let parts = q.partition(&keys, |&x| x % 4).unwrap();
-        // Each part tries to spend 0.2 twice; the ledger allows the first
-        // round (max = 0.2) but the second round (max 0.4 > 0.25) fails.
-        let first = parallel_counts(&parts, 4, 0.2).unwrap();
-        assert!(first.iter().all(|r| r.is_ok()));
-        let second = parallel_counts(&parts, 4, 0.2).unwrap();
-        assert!(second.iter().all(|r| r.is_err()));
+        // Keys listed in reverse; part `k` holds the values below 100·(k+1)
+        // that are ≡ k mod 10, so only part order can line the sizes up.
+        let keys: Vec<u32> = (0..10).rev().collect();
+        let sizes = on_pool(q.filter(|&x| x % 10 <= x / 100), 4)
+            .partition_map(
+                &keys,
+                |&x| x % 10,
+                |p| p.noisy_count(1e9).expect("budget").round() as usize,
+            )
+            .unwrap();
+        let expected: Vec<usize> = keys.iter().map(|&k| 10 * (10 - k as usize)).collect();
+        assert_eq!(sizes, expected);
     }
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let (_, q) = dataset(100, 1e12);
-        let keys: Vec<u32> = (0..5).collect();
-        let parts = q.partition(&keys, |&x| x % 5).unwrap();
-        let a = parallel_map_parts(&parts, 1, |p| p.noisy_count(1e9).unwrap().round()).unwrap();
-        assert_eq!(a, vec![20.0; 5]);
-    }
-
-    #[test]
-    fn empty_parts_are_fine() {
-        let (_, q) = dataset(10, 100.0);
-        let keys: Vec<u32> = vec![];
-        let parts = q.partition(&keys, |&x| x).unwrap();
-        assert!(parallel_counts(&parts, 4, 1.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn nested_queries_inside_workers() {
-        let (acct, q) = dataset(10_000, 10.0);
-        let keys: Vec<u32> = (0..8).collect();
-        let parts = q.partition(&keys, |&x| x % 8).unwrap();
-        let medians = parallel_map_parts(&parts, 4, |p| {
-            p.noisy_median(1.0, 0.0, 10_000.0, 100, |&x| x as f64)
-                .expect("budget")
-        })
-        .unwrap();
-        assert_eq!(medians.len(), 8);
-        // Each part spent 1.0; parallel composition charges 1.0 total.
-        assert!((acct.spent() - 1.0).abs() < 1e-9);
+        let run = |ctx: ExecCtx| {
+            let (acct, q) = dataset(100, 1e12);
+            let keys: Vec<u32> = (0..5).collect();
+            let released = q
+                .with_ctx(ctx)
+                .partition_map(&keys, |&x| x % 5, |p| p.noisy_count(0.5).unwrap())
+                .unwrap();
+            (released, acct.spent())
+        };
+        let (one, spent) = run(ExecCtx::pool(&ExecPool::new(1).unwrap()));
+        assert_eq!(one.len(), 5);
+        assert_eq!((one, spent), run(ExecCtx::Sequential));
     }
 }

@@ -406,24 +406,6 @@ impl<T> Queryable<T> {
         }
     }
 
-    /// A view of the same dataset whose noise draws come from a derived
-    /// substream of the shared source (see [`NoiseSource::substream`]).
-    /// Used by parallel drivers to give each concurrent task its own
-    /// deterministic stream; must be called on the coordinating thread in
-    /// task order.
-    pub(crate) fn with_substream(&self) -> Self {
-        Queryable {
-            data: self.data.clone(),
-            charge: self.charge.clone(),
-            noise: self.noise.substream(),
-            stability: self.stability,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: self.lineage.clone(),
-        }
-    }
-
     /// The pool a kernel with a single code path runs on: under
     /// [`ExecCtx::Sequential`], the one-worker pool, whose runs stay on the
     /// calling thread.
@@ -1191,6 +1173,76 @@ impl<T> Queryable<T> {
             }
         }
         booked.map(|()| released)
+    }
+
+    /// Partition by a data-independent key list and apply `f` to every
+    /// part, returning one result per key, in key order — the one way to
+    /// run per-part queries other than plain counts (for those, use
+    /// [`Queryable::partition_noisy_counts`]). Parts charge the source
+    /// budget their maximum (parallel composition), as under
+    /// [`Queryable::partition`].
+    ///
+    /// Each part draws its noise from a private substream (see
+    /// [`NoiseSource::substream`]), one per key, derived on the calling
+    /// thread in part order (also when the call is then refused). `f` runs
+    /// on this queryable's [`ExecCtx`]: on the pool under
+    /// [`ExecCtx::Pool`], on the calling thread under
+    /// [`ExecCtx::Sequential`]. Workers never race on a shared generator,
+    /// so the released values at a fixed seed are identical in both modes
+    /// and for any worker count. Budget refusals stay per part: `f`
+    /// returns them as values, and every part runs.
+    ///
+    /// ```
+    /// use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
+    ///
+    /// let run = |ctx: ExecCtx| {
+    ///     let budget = Accountant::new(1.0);
+    ///     let data = Queryable::new((0..10_000u32).collect(), &budget, &NoiseSource::seeded(1))
+    ///         .with_ctx(ctx);
+    ///     let keys: Vec<u32> = (0..16).collect();
+    ///     // Sixteen noisy medians, one ε charged.
+    ///     let medians = data
+    ///         .partition_map(&keys, |&x| x % 16, |part| {
+    ///             part.noisy_median(0.5, 0.0, 10_000.0, 64, |&x| f64::from(x))
+    ///         })
+    ///         .unwrap();
+    ///     assert!((budget.spent() - 0.5).abs() < 1e-12);
+    ///     medians.into_iter().collect::<pinq::Result<Vec<f64>>>().unwrap()
+    /// };
+    /// let seq = run(ExecCtx::Sequential);
+    /// assert_eq!(seq.len(), 16);
+    /// assert_eq!(seq, run(ExecCtx::pool(&ExecPool::new(4).unwrap())));
+    /// ```
+    ///
+    /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key.
+    pub fn partition_map<K, R>(
+        &self,
+        keys: &[K],
+        key_fn: impl Fn(&T) -> K + Send + Sync,
+        f: impl Fn(&Queryable<T>) -> R + Send + Sync,
+    ) -> Result<Vec<R>>
+    where
+        K: Eq + Hash + Clone + Sync,
+        T: Clone + Send + Sync,
+        R: Send,
+    {
+        // Streams are derived before the buckets exist (partitioning draws
+        // no noise, so the order is the same). Derived after, these small
+        // per-part allocations split the free chunks the per-part queries
+        // then allocate from: dpbench batch-worm's peak RSS read 29.5 MB
+        // instead of 27.5 MB (2-vCPU KVM guest, seed 11).
+        let streams: Vec<NoiseSource> = keys.iter().map(|_| self.noise.substream()).collect();
+        let mut parts = self.partition(keys, key_fn)?;
+        let prof = span::enter("map_parts");
+        prof.set_records(parts.len() as u64);
+        let t = SpanTimer::start();
+        for (part, noise) in parts.iter_mut().zip(streams) {
+            part.noise = noise;
+        }
+        let pool = self.exec_pool();
+        let out = pool.run(&parts, |_, part| f(part));
+        self.emit_exec("map_parts", pool.workers(), parts.len(), t.elapsed_ns());
+        Ok(out)
     }
 
     // ------------------------------------------------------------------

@@ -19,8 +19,7 @@ use pinq::kernel::model::{
     predict, step, KernelState, LedgerBook, NodeId, NodeSpec, RootBudget, RootId, Transition,
     TOLERANCE,
 };
-use pinq::parallel::parallel_map_parts_with;
-use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -375,18 +374,23 @@ fn partition_facade_matches_sequential_kernel_replay_at_1_2_8_workers() {
         let acct = Accountant::new(1.0);
         let noise = NoiseSource::seeded(0x5EED);
         let data: Vec<u32> = (0..512).collect();
-        let q = Queryable::new(data, &acct, &noise);
-        let keys: Vec<u32> = (0..n_parts as u32).collect();
-        let parts = q.partition(&keys, |&v| v % n_parts as u32).unwrap();
         let pool = ExecPool::new(workers).unwrap();
-        let results = parallel_map_parts_with(&parts, &pool, |part| {
-            let mut ok = 0u32;
-            for _ in 0..charges_per_part {
-                part.noisy_count(dyadic(eps_units))?;
-                ok += 1;
-            }
-            Ok::<u32, pinq::Error>(ok)
-        });
+        let q = Queryable::new(data, &acct, &noise).with_ctx(ExecCtx::pool(&pool));
+        let keys: Vec<u32> = (0..n_parts as u32).collect();
+        let results = q
+            .partition_map(
+                &keys,
+                |&v| v % n_parts as u32,
+                |part| {
+                    let mut ok = 0u32;
+                    for _ in 0..charges_per_part {
+                        part.noisy_count(dyadic(eps_units))?;
+                        ok += 1;
+                    }
+                    Ok::<u32, pinq::Error>(ok)
+                },
+            )
+            .unwrap();
         for r in &results {
             assert_eq!(*r.as_ref().unwrap(), charges_per_part);
         }

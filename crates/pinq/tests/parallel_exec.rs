@@ -1,10 +1,10 @@
 //! Concurrency tests for the parallel execution layer: workers racing for
-//! the last ε of a shared budget must never oversubscribe it, and the
+//! the last ε of a shared budget must never oversubscribe it, the
 //! composition rules (sequential sum, parallel max-of-parts) must hold
-//! regardless of scheduling.
+//! regardless of scheduling, and the `partition_map` fan-out releases the
+//! same values at any worker count.
 
 use pinq::kernel::model::{step, KernelState, NodeSpec, RootBudget, Transition};
-use pinq::parallel::parallel_map_parts_with;
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable, SessionManager, TimedRelease};
 use proptest::prelude::*;
 
@@ -26,7 +26,7 @@ fn budget_exhaustion_race_admits_exactly_the_affordable_charges() {
         .map(|i| Queryable::new(vec![i as u32; 10], &acct, &noise))
         .collect();
     let pool = ExecPool::new(8).unwrap();
-    let results = parallel_map_parts_with(&datasets, &pool, |q| q.noisy_count(1.0));
+    let results = pool.run(&datasets, |_, q| q.noisy_count(1.0));
     let successes = results.iter().filter(|r| r.is_ok()).count();
     assert_eq!(successes, 5, "exactly floor(budget/eps) charges must fit");
     assert!(
@@ -46,9 +46,11 @@ fn budget_exhaustion_race_admits_exactly_the_affordable_charges() {
 fn concurrent_partition_counts_charge_only_the_max() {
     let (acct, q) = protect(160, 1.0, 0xBEE);
     let keys: Vec<u32> = (0..16).collect();
-    let parts = q.partition(&keys, |&v| v % 16).unwrap();
     let pool = ExecPool::new(8).unwrap();
-    let results = parallel_map_parts_with(&parts, &pool, |part| part.noisy_count(1.0));
+    let results = q
+        .with_ctx(ExecCtx::pool(&pool))
+        .partition_map(&keys, |&v| v % 16, |part| part.noisy_count(1.0))
+        .unwrap();
     for r in &results {
         r.as_ref().expect("parallel composition affords every part");
     }
@@ -81,6 +83,129 @@ fn kernel_released_values_are_identical_for_workers_1_2_8() {
     let baseline = run(1);
     assert_eq!(run(2), baseline, "workers=2 diverged");
     assert_eq!(run(8), baseline, "workers=8 diverged");
+}
+
+/// The execution contexts a `partition_map` must agree across: the
+/// calling thread, and pools of 1, 2 and 8 workers.
+fn contexts() -> Vec<ExecCtx> {
+    let mut out = vec![ExecCtx::Sequential];
+    for workers in [1, 2, 8] {
+        out.push(ExecCtx::pool(
+            &ExecPool::new(workers).unwrap().with_chunk_size(64),
+        ));
+    }
+    out
+}
+
+#[test]
+fn partition_map_preserves_part_order() {
+    // Value `k` occurs `10k` times; keys listed in reverse, so results in
+    // key order read 90, 80, …, 0 (exact sizes via a huge ε) on the
+    // calling thread and on every pool, one worker included.
+    let data: Vec<u32> = (0..10u32).flat_map(|k| vec![k; 10 * k as usize]).collect();
+    let keys: Vec<u32> = (0..10).rev().collect();
+    let expected: Vec<usize> = keys.iter().map(|&k| 10 * k as usize).collect();
+    for ctx in contexts() {
+        let acct = Accountant::new(1e12);
+        let q = Queryable::new(data.clone(), &acct, &NoiseSource::seeded(3)).with_ctx(ctx.clone());
+        let sizes = q
+            .partition_map(
+                &keys,
+                |&x| x,
+                |p| p.noisy_count(1e9).unwrap().round() as usize,
+            )
+            .unwrap();
+        assert_eq!(sizes, expected, "{ctx:?}");
+    }
+}
+
+#[test]
+fn partition_map_releases_are_identical_for_any_worker_count() {
+    // The core determinism contract: a fixed seed fixes every released
+    // value, whether the parts are measured on the calling thread or by
+    // any number of workers.
+    let run = |ctx: ExecCtx| -> (Vec<u64>, f64) {
+        let (acct, q) = protect(10_000, 1e12, 0xD5);
+        let keys: Vec<u32> = (0..16).collect();
+        let released = q
+            .with_ctx(ctx)
+            .partition_map(
+                &keys,
+                |&x| x % 16,
+                |p| p.noisy_count(0.5).unwrap().to_bits(),
+            )
+            .unwrap();
+        (released, acct.spent())
+    };
+    let mut ctxs = contexts().into_iter();
+    let baseline = run(ctxs.next().unwrap());
+    for ctx in ctxs {
+        assert_eq!(run(ctx.clone()), baseline, "{ctx:?} diverged");
+    }
+}
+
+#[test]
+fn partition_map_reports_budget_refusals_per_part() {
+    for ctx in contexts() {
+        let (acct, q) = protect(1000, 0.25, 3);
+        let q = q.with_ctx(ctx);
+        let keys: Vec<u32> = (0..4).collect();
+        // Each part tries to spend 0.2 twice; the ledger allows the first
+        // round (max = 0.2) but the second round (max 0.4 > 0.25) fails.
+        let first = q
+            .partition_map(&keys, |&x| x % 4, |p| p.noisy_count(0.2))
+            .unwrap();
+        assert!(first.iter().all(|r| r.is_ok()));
+        let second = q
+            .partition_map(
+                &keys,
+                |&x| x % 4,
+                |p| {
+                    p.noisy_count(0.2)?;
+                    p.noisy_count(0.2)
+                },
+            )
+            .unwrap();
+        assert!(second.iter().all(|r| r.is_err()));
+        assert!((acct.spent() - 0.2).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn partition_map_over_no_keys_is_empty() {
+    let (acct, q) = protect(10, 100.0, 3);
+    let keys: Vec<u32> = vec![];
+    let out = q
+        .partition_map(&keys, |&x| x, |p| p.noisy_count(1.0))
+        .unwrap();
+    assert!(out.is_empty());
+    assert_eq!(acct.spent(), 0.0);
+    // Duplicate keys are refused before any part runs.
+    assert!(q
+        .partition_map(&[1u32, 1], |&x| x, |p| p.noisy_count(1.0))
+        .is_err());
+}
+
+#[test]
+fn partition_map_runs_nested_queries_inside_workers() {
+    let (acct, q) = protect(10_000, 10.0, 3);
+    let keys: Vec<u32> = (0..8).collect();
+    let pool = ExecPool::new(4).unwrap();
+    let medians = q
+        .with_ctx(ExecCtx::pool(&pool))
+        .partition_map(
+            &keys,
+            |&x| x % 8,
+            |p| {
+                p.filter(|&x| x > 100)
+                    .noisy_median(1.0, 0.0, 10_000.0, 100, |&x| f64::from(x))
+                    .expect("budget")
+            },
+        )
+        .unwrap();
+    assert_eq!(medians.len(), 8);
+    // Each part spent 1.0; parallel composition charges 1.0 total.
+    assert!((acct.spent() - 1.0).abs() < 1e-9);
 }
 
 proptest! {
