@@ -1,8 +1,9 @@
-//! Monotonic process clock and span timing.
+//! Monotonic process clock.
 //!
 //! Ledger entries and events are stamped with nanoseconds since the first
 //! use of the clock in this process — monotonic, cheap, and meaningful for
-//! ordering and latency arithmetic within one run. Wall-clock time (for
+//! ordering and latency arithmetic within one run. Durations come from
+//! [`crate::span`] guards, which read this same clock. Wall-clock time (for
 //! naming report files and stamping audit exports) comes separately from
 //! [`unix_time_s`].
 
@@ -20,46 +21,24 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
+/// Read the clock for a span start. The epoch is initialized first, so
+/// [`ns_since_epoch`] of the returned instant never saturates.
+pub(crate) fn mark() -> Instant {
+    epoch();
+    Instant::now()
+}
+
+/// The process-clock timestamp of `at`, ns since the epoch.
+pub(crate) fn ns_since_epoch(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch()).as_nanos() as u64
+}
+
 /// Seconds since the Unix epoch (wall clock), for stamping exports.
 pub fn unix_time_s() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
-}
-
-/// Measures one span of work.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanTimer {
-    started: Instant,
-    started_ns: u64,
-}
-
-impl SpanTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        SpanTimer {
-            started: Instant::now(),
-            started_ns: now_ns(),
-        }
-    }
-
-    /// Nanoseconds elapsed since [`SpanTimer::start`].
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// The monotonic timestamp at which the span started.
-    pub fn started_at_ns(&self) -> u64 {
-        self.started_ns
-    }
-}
-
-/// Run `f`, returning its result and the elapsed nanoseconds.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let t = SpanTimer::start();
-    let r = f();
-    (r, t.elapsed_ns())
 }
 
 #[cfg(test)]
@@ -71,13 +50,6 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn spans_measure_nonzero_work() {
-        let (sum, ns) = timed(|| (0..10_000u64).sum::<u64>());
-        assert_eq!(sum, 49_995_000);
-        assert!(ns > 0);
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct TransformEvent {
     pub stability_in: f64,
     /// Stability multiplier of the derived queryable.
     pub stability_out: f64,
-    /// Wall time the transformation took, ns.
-    pub wall_ns: u64,
     /// Monotonic timestamp (ns since process clock epoch).
     pub at_ns: u64,
     /// True record count of the derived queryable. Data-dependent:
@@ -75,7 +73,8 @@ pub struct AggregateEvent {
     pub released: Option<f64>,
     /// Wall time of the aggregation, ns.
     pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
+    /// When the aggregation started: its span's start (ns since process
+    /// clock epoch).
     pub at_ns: u64,
     /// True input record count. Data-dependent: owner-side builds only.
     #[cfg(feature = "trusted-owner")]
@@ -106,7 +105,7 @@ pub struct ChargeEvent {
 /// A parallel kernel run finished on a worker pool.
 ///
 /// Emitted once per pool-driven kernel invocation (chunked partition
-/// construction, chunked sums, per-part fan-out, trace generation) so that
+/// construction, chunked sums, per-part fan-out) so that
 /// speedups are observable per kernel. The worker count is analyst-chosen
 /// configuration, not data; the task (chunk) count is derived from the
 /// record count and therefore compiles in only under `trusted-owner`.
@@ -116,9 +115,11 @@ pub struct ExecEvent {
     pub kernel: &'static str,
     /// Worker threads the pool was configured with.
     pub workers: u64,
-    /// Wall time of the kernel run, ns.
+    /// Wall time from the start of the enclosing barrier's span to the end
+    /// of the kernel run, ns.
     pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
+    /// When the enclosing barrier started: its span's start (ns since
+    /// process clock epoch).
     pub at_ns: u64,
     /// Number of tasks (chunks) dispatched. Data-dependent: owner-side
     /// builds only.
@@ -150,7 +151,8 @@ pub struct PlanEvent {
     pub workers: u64,
     /// Wall time of the materialization, ns.
     pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
+    /// When the materialization started: its span's start (ns since
+    /// process clock epoch).
     pub at_ns: u64,
     /// True record count of the plan's source. Data-dependent: owner-side
     /// builds only.
@@ -171,7 +173,8 @@ pub struct PhaseEvent {
     pub eps_spent: f64,
     /// Wall time of the phase, ns.
     pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
+    /// When the phase started: its span's start (ns since process clock
+    /// epoch).
     pub at_ns: u64,
 }
 
@@ -241,7 +244,6 @@ impl Event {
                     .field_opt_str("label", e.label.as_deref())
                     .field_f64("stability_in", e.stability_in)
                     .field_f64("stability_out", e.stability_out)
-                    .field_u64("wall_ns", e.wall_ns)
                     .field_u64("at_ns", e.at_ns);
                 #[cfg(feature = "trusted-owner")]
                 o.field_u64("output_records", e.output_records);
@@ -366,7 +368,6 @@ mod tests {
             label: None,
             stability_in: 1.0,
             stability_out: 1.0,
-            wall_ns: 10,
             at_ns: 20,
             #[cfg(feature = "trusted-owner")]
             output_records: 5,

@@ -4,7 +4,8 @@
 //! analyses on behalf of researchers and must be able to see — and justify —
 //! exactly what privacy budget was spent, by which operator, and when
 //! (paper §2, §7). This crate is the substrate for that: hand-rolled atomic
-//! [`Counter`]s and fixed-bucket latency [`Histogram`]s, [`SpanTimer`]s, a
+//! [`Counter`]s and fixed-bucket latency [`Histogram`]s, hierarchical
+//! [`span`]s (whose guards are the one timer every timed event draws on), a
 //! pluggable [`EventSink`] for structured engine events, and a tiny JSON
 //! layer for the owner-side JSONL audit export. No external dependencies.
 //!
@@ -50,15 +51,15 @@ pub mod sink;
 pub mod span;
 pub mod trace_export;
 
-pub use clock::{now_ns, unix_time_s, SpanTimer};
+pub use clock::{now_ns, unix_time_s};
 pub use event::{
     AggregateEvent, ChargeEvent, Event, ExecEvent, Outcome, PhaseEvent, PlanEvent, SessionEvent,
     TransformEvent,
 };
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use sink::{
-    emit_exec_global, emit_phase_global, global_sink, set_global_sink, EventSink, JsonlSink,
-    MemorySink, NullSink, SinkHandle,
+    emit_phase_global, global_sink, set_global_sink, EventSink, JsonlSink, MemorySink, NullSink,
+    SinkHandle,
 };
 pub use span::{
     attribution, attribution_with_aggregates, install_recorder, profiling_enabled,

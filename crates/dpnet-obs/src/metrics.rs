@@ -1,5 +1,5 @@
 //! Hand-rolled metrics: atomic counters, fixed-bucket latency histograms,
-//! and a process-wide registry.
+//! and a named registry of both.
 //!
 //! Everything here is lock-free on the hot path (relaxed atomics; metric
 //! reads are statistical, not transactional) and allocation-free after
@@ -8,7 +8,7 @@
 use crate::json::JsonObj;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -184,12 +184,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Get or create the counter `name`.

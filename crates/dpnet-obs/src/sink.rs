@@ -3,9 +3,11 @@
 //! The engine emits through a [`SinkHandle`]; each handle can carry its own
 //! sink (per-accountant scoping) and otherwise falls back to the process
 //! [`global_sink`]. Event construction is lazy — a handle with no sink
-//! bound anywhere costs one relaxed atomic load per emission site.
+//! bound anywhere costs one uncontended lock of its local slot and one
+//! atomic load of the global one per [`SinkHandle::resolve`].
 
 use crate::event::Event;
+use crate::span::SpanGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -141,33 +143,15 @@ pub fn set_global_sink(sink: Option<Arc<dyn EventSink>>) -> Option<Arc<dyn Event
 /// installed). The convenience path for analysis toolkits that want to
 /// report named phases without threading a sink handle through their APIs;
 /// `eps_spent` is the ε the phase charges *by construction* of the
-/// algorithm (e.g. iterations × ε-per-iteration).
-pub fn emit_phase_global(name: &str, eps_spent: f64, wall_ns: u64) {
+/// algorithm (e.g. iterations × ε-per-iteration), and the wall time and
+/// start timestamp are those of the phase's (timed) span.
+pub fn emit_phase_global(name: &str, eps_spent: f64, span: &SpanGuard) {
     if let Some(sink) = global_sink() {
         sink.emit(&Event::Phase(crate::event::PhaseEvent {
             name: Arc::from(name),
             eps_spent,
-            wall_ns,
-            at_ns: crate::clock::now_ns(),
-        }));
-    }
-}
-
-/// Emit an [`crate::ExecEvent`] to the global sink (no-op when none is
-/// installed). For parallel drivers outside the engine — e.g. chunked
-/// synthetic-trace generation — that want their kernel runs observable
-/// without a sink handle. `tasks` is data-dependent (a chunk count) and is
-/// therefore serialized only under `trusted-owner`.
-pub fn emit_exec_global(kernel: &'static str, workers: usize, tasks: usize, wall_ns: u64) {
-    let _ = tasks;
-    if let Some(sink) = global_sink() {
-        sink.emit(&Event::Exec(crate::event::ExecEvent {
-            kernel,
-            workers: workers as u64,
-            wall_ns,
-            at_ns: crate::clock::now_ns(),
-            #[cfg(feature = "trusted-owner")]
-            tasks: tasks as u64,
+            wall_ns: span.elapsed_ns(),
+            at_ns: span.start_ns(),
         }));
     }
 }

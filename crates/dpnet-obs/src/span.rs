@@ -7,8 +7,14 @@
 //! span's duration minus its children's) attributes wall-clock to the code
 //! that actually burned it rather than to everything above it on the stack.
 //!
-//! The machinery is built for a near-zero disabled path: every `enter` site
-//! costs one relaxed atomic load when no [`TraceRecorder`] is installed.
+//! The [`SpanGuard`] is also the engine's one timer: an event that carries
+//! a duration takes it from the guard of the span it describes
+//! ([`SpanGuard::elapsed_ns`], [`SpanGuard::start_ns`]), so the event and
+//! the recorded span agree to the nanosecond on when the region started.
+//!
+//! The machinery is built for a near-zero disabled path: a span reads the
+//! clock only when a [`TraceRecorder`] is installed or its caller asks for
+//! a duration, so an unobserved `enter` site costs one relaxed atomic load.
 //! When recording, the per-thread span stack is a plain `thread_local`
 //! (lock-free; no cross-thread synchronization until a span *completes*,
 //! at which point it is pushed onto the recorder under a mutex).
@@ -21,7 +27,7 @@
 //! via [`SpanGuard::set_records`] and exist on the serialized span only
 //! under the `trusted-owner` feature.
 
-use crate::clock::now_ns;
+use crate::clock;
 use crate::json::JsonObj;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -276,14 +282,13 @@ pub fn recorder() -> Option<Arc<TraceRecorder>> {
     lock(&profiler().recorder).clone()
 }
 
-/// A span currently open on this thread's stack.
+/// A span currently open on this thread's stack. Its start time lives in
+/// the [`SpanGuard`] that closes it.
 struct ActiveSpan {
     id: u64,
     parent: Option<u64>,
     name: &'static str,
     detail: Option<Arc<str>>,
-    started: Instant,
-    start_ns: u64,
     child_ns: u64,
     records: u64,
     /// Opened through [`enter_agg_with`]: an aggregation-barrier span a
@@ -327,24 +332,29 @@ pub fn current_track() -> u64 {
 
 /// Open a span named `name` on this thread. Returns a guard that closes
 /// the span when dropped. When profiling is disabled the call is one
-/// relaxed atomic load and the guard does nothing.
+/// relaxed atomic load and the guard does nothing: it reads no clock and
+/// its [`SpanGuard::elapsed_ns`] is 0.
 #[inline]
 pub fn enter(name: &'static str) -> SpanGuard {
-    if !profiling_enabled() {
-        return SpanGuard { armed: false };
-    }
-    enter_slow(name, None, false)
+    open(name, false, false, || None)
+}
+
+/// Like [`enter`], but the guard always reads the clock, so its duration
+/// is there for the caller whether or not a recorder is installed. For
+/// regions that run a handful of times per analysis (a toolkit phase).
+#[inline]
+pub fn enter_timed(name: &'static str) -> SpanGuard {
+    open(name, true, false, || None)
 }
 
 /// Like [`enter`], but attaches free-form detail built by `make` — which
 /// runs only when profiling is enabled, so callers can format charge paths
-/// or labels without paying on the disabled path.
+/// or labels without paying on the disabled path. With `timed`, the guard
+/// reads the clock even when no recorder is installed (as
+/// [`enter_timed`]); callers pass whether they will ask for the duration.
 #[inline]
-pub fn enter_with(name: &'static str, make: impl FnOnce() -> String) -> SpanGuard {
-    if !profiling_enabled() {
-        return SpanGuard { armed: false };
-    }
-    enter_slow(name, Some(Arc::from(make().as_str())), false)
+pub fn enter_with(name: &'static str, timed: bool, make: impl FnOnce() -> String) -> SpanGuard {
+    open(name, timed, false, || Some(Arc::from(make().as_str())))
 }
 
 /// [`enter_with`] for high-frequency aggregation-barrier sites (one span
@@ -353,14 +363,28 @@ pub fn enter_with(name: &'static str, make: impl FnOnce() -> String) -> SpanGuar
 /// span into a per-`(name, detail)` [`AggregatedSpans`] row instead of
 /// storing it individually.
 #[inline]
-pub fn enter_agg_with(name: &'static str, make: impl FnOnce() -> String) -> SpanGuard {
-    if !profiling_enabled() {
-        return SpanGuard { armed: false };
-    }
-    enter_slow(name, Some(Arc::from(make().as_str())), true)
+pub fn enter_agg_with(name: &'static str, timed: bool, make: impl FnOnce() -> String) -> SpanGuard {
+    open(name, timed, true, || Some(Arc::from(make().as_str())))
 }
 
-fn enter_slow(name: &'static str, detail: Option<Arc<str>>, agg: bool) -> SpanGuard {
+#[inline]
+fn open(
+    name: &'static str,
+    timed: bool,
+    agg: bool,
+    detail: impl FnOnce() -> Option<Arc<str>>,
+) -> SpanGuard {
+    let recorded = profiling_enabled();
+    if recorded {
+        push(name, detail(), agg);
+    }
+    SpanGuard {
+        started: (recorded || timed).then(clock::mark),
+        recorded,
+    }
+}
+
+fn push(name: &'static str, detail: Option<Arc<str>>, agg: bool) {
     CTX.with(|c| {
         let mut ctx = c.borrow_mut();
         let parent = ctx.stack.last().map(|s| s.id);
@@ -369,28 +393,47 @@ fn enter_slow(name: &'static str, detail: Option<Arc<str>>, agg: bool) -> SpanGu
             parent,
             name,
             detail,
-            started: Instant::now(),
-            start_ns: now_ns(),
             child_ns: 0,
             records: 0,
             agg,
         });
     });
-    SpanGuard { armed: true }
 }
 
-/// RAII guard for an open span; closing happens on drop. Not `Send`: a
-/// span must close on the thread that opened it.
+/// RAII guard for an open span; closing happens on drop. A span must
+/// close on the thread that opened it.
+///
+/// The guard owns the span's start instant — the one clock read of a span
+/// start — and both the recorded [`CompletedSpan`] and the caller's event
+/// timings derive from it.
+#[derive(Debug)]
 pub struct SpanGuard {
-    armed: bool,
+    /// When the span opened; `None` when neither a recorder nor the caller
+    /// wanted timing, so the span never read the clock.
+    started: Option<Instant>,
+    /// A recorder was installed at enter: this guard pushed a span onto
+    /// the thread's stack and pops it on drop.
+    recorded: bool,
 }
 
 impl SpanGuard {
+    /// Nanoseconds since the span opened; 0 for a span that read no clock.
+    pub fn elapsed_ns(&self) -> u64 {
+        self.started.map_or(0, |at| at.elapsed().as_nanos() as u64)
+    }
+
+    /// When the span opened, ns since the process clock epoch (the same
+    /// value as the recorded span's `start_ns`); 0 for a span that read no
+    /// clock.
+    pub fn start_ns(&self) -> u64 {
+        self.started.map_or(0, clock::ns_since_epoch)
+    }
+
     /// Attach the number of records this span touched. The value reaches
     /// the serialized span only under `trusted-owner`; in default builds
     /// it is accepted and discarded (see the crate privacy rule).
     pub fn set_records(&self, n: u64) {
-        if !self.armed {
+        if !self.recorded {
             return;
         }
         CTX.with(|c| {
@@ -401,23 +444,15 @@ impl SpanGuard {
     }
 }
 
-impl std::fmt::Debug for SpanGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard")
-            .field("armed", &self.armed)
-            .finish()
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
+        let (true, Some(started)) = (self.recorded, self.started) else {
             return;
-        }
+        };
+        let dur_ns = started.elapsed().as_nanos() as u64;
         let completed = CTX.with(|c| {
             let mut ctx = c.borrow_mut();
             let span = ctx.stack.pop()?;
-            let dur_ns = span.started.elapsed().as_nanos() as u64;
             if let Some(parent) = ctx.stack.last_mut() {
                 parent.child_ns += dur_ns;
             }
@@ -432,7 +467,7 @@ impl Drop for SpanGuard {
                 name: span.name,
                 detail: span.detail,
                 track: ctx.track,
-                start_ns: span.start_ns,
+                start_ns: clock::ns_since_epoch(started),
                 dur_ns,
                 child_ns: span.child_ns,
                 #[cfg(feature = "trusted-owner")]
@@ -537,10 +572,23 @@ mod tests {
         uninstall_recorder();
         let rec = Arc::new(TraceRecorder::new());
         {
-            let _span = enter("quiet");
+            let span = enter_with("quiet", false, || unreachable!("detail built unrecorded"));
+            spin(10_000);
+            // An untimed guard never read the clock.
+            assert_eq!((span.elapsed_ns(), span.start_ns()), (0, 0));
         }
         assert!(rec.is_empty());
         assert!(!profiling_enabled());
+    }
+
+    #[test]
+    fn enter_timed_measures_work_without_a_recorder() {
+        let _g = global_guard();
+        uninstall_recorder();
+        let span = enter_timed("phase");
+        spin(10_000);
+        assert!(span.elapsed_ns() > 0);
+        assert!(span.start_ns() <= crate::clock::now_ns());
     }
 
     #[test]
@@ -548,15 +596,16 @@ mod tests {
         let _g = global_guard();
         let rec = Arc::new(TraceRecorder::new());
         install_recorder(rec.clone());
-        {
-            let _outer = enter("outer");
+        let (outer_start_ns, outer_read_ns) = {
+            let outer = enter("outer");
             spin(20_000);
             {
                 let _inner = enter("inner");
                 spin(20_000);
             }
             spin(20_000);
-        }
+            (outer.start_ns(), outer.elapsed_ns())
+        };
         uninstall_recorder();
         let spans = rec.take();
         assert_eq!(spans.len(), 2);
@@ -572,6 +621,10 @@ mod tests {
         assert_eq!(outer.self_ns(), outer.dur_ns - inner.dur_ns);
         assert_eq!(inner.self_ns(), inner.dur_ns);
         assert_eq!(inner.track, outer.track);
+        // The guard's readings are the recorded span's: same start, and a
+        // duration read before the close fits inside it.
+        assert_eq!(outer.start_ns, outer_start_ns);
+        assert!(outer_read_ns > 0 && outer_read_ns <= outer.dur_ns);
     }
 
     #[test]
@@ -580,7 +633,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new());
         install_recorder(rec.clone());
         {
-            let _s = enter_with("noisy_sum", || "scale(x2)/root".to_string());
+            let _s = enter_with("noisy_sum", false, || "scale(x2)/root".to_string());
         }
         uninstall_recorder();
         let spans = rec.take();
@@ -699,10 +752,12 @@ mod tests {
         {
             let _outer = enter("exec/run");
             for _ in 0..3 {
-                let _s = enter_agg_with("noisy_count", || "part[*]/scale(x1)/root".to_string());
+                let _s = enter_agg_with("noisy_count", false, || {
+                    "part[*]/scale(x1)/root".to_string()
+                });
                 spin(5_000);
             }
-            let _other = enter_agg_with("noisy_sum", || "root".to_string());
+            let _other = enter_agg_with("noisy_sum", false, || "root".to_string());
         }
         uninstall_recorder();
         // Only the non-agg span is stored individually.
@@ -739,7 +794,7 @@ mod tests {
         assert_eq!(rec.mode(), SpanMode::Full);
         install_recorder(rec.clone());
         for _ in 0..2 {
-            let _s = enter_agg_with("noisy_count", || "root".to_string());
+            let _s = enter_agg_with("noisy_count", false, || "root".to_string());
         }
         uninstall_recorder();
         assert_eq!(rec.spans().len(), 2);

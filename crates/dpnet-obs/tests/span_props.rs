@@ -33,7 +33,7 @@ fn run_program(worker: usize, program: &[u8]) {
             let name = NAMES[(tok as usize / 4) % NAMES.len()];
             let g = match kind {
                 0 => enter(name),
-                1 => enter_with(name, || format!("scale(x2)/part[{tok}]/root")),
+                1 => enter_with(name, false, || format!("scale(x2)/part[{tok}]/root")),
                 _ => {
                     let g = enter(name);
                     g.set_records(u64::from(tok) + 1);

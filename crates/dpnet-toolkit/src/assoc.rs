@@ -17,7 +17,7 @@
 //! rule recovery against planted ground truth.
 
 use crate::itemsets::FrequentItemset;
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::{emit_phase_global, span};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -47,7 +47,7 @@ pub fn association_rules<I>(
 where
     I: Ord + Hash + Clone,
 {
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("association_rules");
     // Index supports by itemset for denominator lookups.
     let support_of: HashMap<Vec<I>, f64> = itemsets
         .iter()
@@ -90,7 +90,7 @@ where
     });
     // Pure post-processing of released counts: ε cost is zero, and the
     // phase event says so explicitly in the owner's timeline.
-    emit_phase_global("association_rules", 0.0, timer.elapsed_ns());
+    emit_phase_global("association_rules", 0.0, &phase);
     rules
 }
 

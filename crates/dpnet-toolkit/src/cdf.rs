@@ -26,8 +26,7 @@
 //! so at a fixed seed the released values are **bit-identical** for any
 //! worker count, and budget charges are identical by construction.
 
-use dpnet_obs::span;
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::{emit_phase_global, span};
 use pinq::{Queryable, Result};
 
 /// Noise-free reference CDF over bucket indices. Records with out-of-range
@@ -55,8 +54,7 @@ pub fn noise_free_cdf(values: &[usize], n_buckets: usize) -> Vec<f64> {
 /// budget, each count gets only `budget/|buckets|`, and the paper's Figure 1
 /// shows the resulting error is "incredibly high".
 pub fn cdf_naive(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<Vec<f64>> {
-    let _prof = span::enter("cdf_naive");
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("cdf_naive");
     let mut out = Vec::with_capacity(n_buckets);
     for b in 0..n_buckets {
         let c = data
@@ -65,7 +63,7 @@ pub fn cdf_naive(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<
         out.push(c);
     }
     // ε by construction for a stability-1 input: one count per bucket.
-    emit_phase_global("cdf_naive", n_buckets as f64 * eps, timer.elapsed_ns());
+    emit_phase_global("cdf_naive", n_buckets as f64 * eps, &phase);
     Ok(out)
 }
 
@@ -77,8 +75,7 @@ pub fn cdf_naive(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<
 /// `O(√|buckets|)·√2/ε`, and the estimate tends to drift coherently (the
 /// paper notes a run may consistently under- or over-estimate).
 pub fn cdf_partition(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<Vec<f64>> {
-    let _prof = span::enter("cdf_partition");
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("cdf_partition");
     // Batched fan-out: one shard-parallel histogram pass instead of
     // materializing 256 single-bucket parts. Charges and noise draws run in
     // part order through the same partition ledger, so the releases are
@@ -92,7 +89,7 @@ pub fn cdf_partition(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Res
         out.push(tally);
     }
     // Parallel composition: ε total regardless of resolution.
-    emit_phase_global("cdf_partition", eps, timer.elapsed_ns());
+    emit_phase_global("cdf_partition", eps, &phase);
     Ok(out)
 }
 
@@ -109,8 +106,7 @@ pub fn cdf_hierarchical(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> 
     if n_buckets == 0 {
         return Ok(Vec::new());
     }
-    let _prof = span::enter("cdf_hierarchical");
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("cdf_hierarchical");
     let max = n_buckets.next_power_of_two();
     // Drop out-of-range values so padding buckets stay empty.
     let data = data.filter(move |&v| v < n_buckets);
@@ -118,7 +114,7 @@ pub fn cdf_hierarchical(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> 
     rec(&data, eps, max, &mut out)?;
     out.truncate(n_buckets);
     let levels = (max.trailing_zeros() + 1) as f64;
-    emit_phase_global("cdf_hierarchical", levels * eps, timer.elapsed_ns());
+    emit_phase_global("cdf_hierarchical", levels * eps, &phase);
     return Ok(out);
 
     fn rec(data: &Queryable<usize>, eps: f64, max: usize, out: &mut Vec<f64>) -> Result<()> {

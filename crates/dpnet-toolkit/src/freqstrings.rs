@@ -17,7 +17,7 @@
 //! round; sequential across the `B` rounds). The final counts estimate the
 //! number of records carrying each surviving `B`-byte string.
 
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::{emit_phase_global, span};
 use pinq::{Queryable, Result};
 
 /// Pack up to 8 prefix bytes into one big-endian `u64` code. Distinct
@@ -86,7 +86,7 @@ pub fn frequent_strings<T: Send + Sync>(
     cfg: &FrequentStringsConfig,
 ) -> Result<Vec<FrequentString>> {
     assert!(cfg.length > 0, "string length must be positive");
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("frequent_strings");
     // Viable prefixes from the previous round (starts with the empty one).
     let mut viable: Vec<Vec<u8>> = vec![Vec::new()];
     let mut counts: Vec<f64> = vec![f64::INFINITY];
@@ -181,7 +181,7 @@ pub fn frequent_strings<T: Send + Sync>(
     emit_phase_global(
         "frequent_strings",
         levels_run as f64 * cfg.eps_per_level,
-        timer.elapsed_ns(),
+        &phase,
     );
     Ok(out)
 }

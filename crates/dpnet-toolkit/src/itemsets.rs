@@ -16,7 +16,7 @@
 //! supports; the count each candidate receives is then roughly its support
 //! divided by the typical overlap, preserving support *order*.
 
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::{emit_phase_global, span};
 use pinq::{Queryable, Result};
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
@@ -65,7 +65,7 @@ where
     I: Ord + Hash + Clone + Send + Sync + 'static,
 {
     assert!(cfg.max_size > 0, "max_size must be positive");
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("frequent_itemsets");
     let mut results: Vec<FrequentItemset<I>> = Vec::new();
     let mut levels_run = 0usize;
 
@@ -165,7 +165,7 @@ where
     emit_phase_global(
         "frequent_itemsets",
         levels_run as f64 * cfg.eps_per_level,
-        timer.elapsed_ns(),
+        &phase,
     );
     Ok(results)
 }

@@ -15,7 +15,7 @@
 //! "if their sophistication requires looking too closely at the data, the
 //! necessary noise … can counteract these gains."
 
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::{emit_phase_global, span};
 use pinq::{Queryable, Result};
 
 /// Configuration shared by the private clustering algorithms.
@@ -76,7 +76,7 @@ pub fn dp_kmeans(
 ) -> Result<ClusteringTrajectory> {
     assert!(!initial.is_empty(), "need at least one center");
     assert!(initial.iter().all(|c| c.len() == cfg.dims));
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("dp_kmeans");
     let k = initial.len();
     let mut centers = initial.clone();
     let mut trajectory = vec![initial];
@@ -102,7 +102,7 @@ pub fn dp_kmeans(
     emit_phase_global(
         "dp_kmeans",
         cfg.iterations as f64 * cfg.eps_per_iteration,
-        timer.elapsed_ns(),
+        &phase,
     );
     Ok(ClusteringTrajectory {
         centers: trajectory,
@@ -119,7 +119,7 @@ pub fn dp_gaussian_em(
     initial: Vec<Vec<f64>>,
 ) -> Result<ClusteringTrajectory> {
     assert!(!initial.is_empty());
-    let timer = SpanTimer::start();
+    let phase = span::enter_timed("dp_gaussian_em");
     let k = initial.len();
     let mut centers = initial.clone();
     let mut variances = vec![1.0f64; k];
@@ -160,7 +160,7 @@ pub fn dp_gaussian_em(
     emit_phase_global(
         "dp_gaussian_em",
         cfg.iterations as f64 * cfg.eps_per_iteration,
-        timer.elapsed_ns(),
+        &phase,
     );
     Ok(ClusteringTrajectory {
         centers: trajectory,

@@ -134,7 +134,7 @@ pub const GEN_CHUNK_IPS: usize = 1024;
 /// the two entry points as distinct dataset families.
 pub fn generate_with(cfg: ScatterConfig, pool: &pinq::ExecPool) -> ScatterTrace {
     assert!(cfg.monitors > 0 && cfg.clusters > 0 && cfg.ips >= cfg.clusters);
-    let timer_start = std::time::Instant::now();
+    let _span = dpnet_obs::span::enter("trace_gen/scatter");
     // Substream 0 is reserved for the centers; chunk c draws from
     // substream c + 1.
     let mut rng = StdRng::seed_from_u64(pinq::rng::derive_seed(cfg.seed, 0));
@@ -185,24 +185,12 @@ pub fn generate_with(cfg: ScatterConfig, pool: &pinq::ExecPool) -> ScatterTrace 
         records.append(&mut rs);
         ip_cluster.append(&mut ics);
     }
-    dpnet_obs_emit(
-        pool.workers(),
-        chunks.len(),
-        timer_start.elapsed().as_nanos() as u64,
-    );
-
     ScatterTrace {
         records,
         centers,
         ip_cluster,
         monitors: cfg.monitors,
     }
-}
-
-/// Report the generation kernel to the global observability sink, if one is
-/// installed. Kept out-of-line so the generator body stays readable.
-fn dpnet_obs_emit(workers: usize, tasks: usize, wall_ns: u64) {
-    dpnet_obs::emit_exec_global("trace_gen/scatter", workers, tasks, wall_ns);
 }
 
 impl ScatterTrace {

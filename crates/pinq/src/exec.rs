@@ -57,50 +57,9 @@
 
 use crate::error::{Error, Result};
 use dpnet_obs::span;
-use dpnet_obs::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Metric handles a profiled pool run resolves once (registry lookups are a
-/// mutex + map walk — fine per run, not per task). Only materialized when
-/// [`dpnet_obs::profiling_enabled`]; unprofiled runs skip every lookup.
-struct RunTelemetry {
-    /// Per worker per run: ns spent inside task closures.
-    busy: Arc<Histogram>,
-    /// Per worker per run: worker wall-clock minus busy time (claim
-    /// contention plus scheduling tail).
-    idle: Arc<Histogram>,
-    /// Per run: ns spent unwrapping the ordered result slots after the
-    /// workers joined (workers write slots directly, so this is a single
-    /// move pass, not a drain loop).
-    reassembly: Arc<Histogram>,
-    /// Tasks claimed beyond a worker's fair share ⌊n/threads⌋ — the
-    /// work-stealing analog. Task counts are data-dependent (input sizes
-    /// leak through them), so owner-side builds only.
-    #[cfg(feature = "trusted-owner")]
-    steals: Arc<dpnet_obs::Counter>,
-    /// Unclaimed tasks remaining at each claim. Data-dependent, as above.
-    #[cfg(feature = "trusted-owner")]
-    queue_depth: Arc<Histogram>,
-}
-
-impl RunTelemetry {
-    fn resolve() -> Self {
-        let reg = MetricsRegistry::global();
-        RunTelemetry {
-            busy: reg.histogram("exec.worker.busy_ns"),
-            idle: reg.histogram("exec.worker.idle_ns"),
-            reassembly: reg.histogram("exec.reassembly_wait_ns"),
-            #[cfg(feature = "trusted-owner")]
-            steals: reg.counter("exec.steals"),
-            #[cfg(feature = "trusted-owner")]
-            queue_depth: reg.histogram("exec.queue_depth"),
-        }
-    }
-}
 
 /// Default number of records per chunk for chunked kernels. Chosen large
 /// enough that per-task overhead (claim, channel send) is negligible and
@@ -206,14 +165,8 @@ impl ExecPool {
             return Vec::new();
         }
         let threads = self.workers.min(n);
-        // One relaxed atomic load; everything telemetry-related hides
-        // behind it so the unprofiled path stays byte-for-byte the old one.
-        let profiled = span::profiling_enabled();
+        let _run = span::enter("exec/run");
         if threads == 1 {
-            if !profiled {
-                return (0..n).map(f).collect();
-            }
-            let _run = span::enter("exec/run");
             return (0..n)
                 .map(|i| {
                     let _task = span::enter("exec/task");
@@ -222,9 +175,6 @@ impl ExecPool {
                 .collect();
         }
 
-        let _run = profiled.then(|| span::enter("exec/run"));
-        let telemetry = profiled.then(RunTelemetry::resolve);
-        let fair_share = n / threads;
         let next = AtomicUsize::new(0);
         // One slot per task, written directly by whichever worker claims the
         // task. Exactly one worker ever touches a given slot, so the lock is
@@ -235,12 +185,8 @@ impl ExecPool {
                 let next = &next;
                 let f = &f;
                 let slots = &slots;
-                let telemetry = telemetry.as_ref();
                 scope.spawn(move || {
-                    let started = Instant::now();
-                    let mut busy_ns = 0u64;
-                    let mut claims = 0usize;
-                    if telemetry.is_some() {
+                    if span::profiling_enabled() {
                         span::set_track_name(&format!("worker-{w}"));
                     }
                     loop {
@@ -248,48 +194,19 @@ impl ExecPool {
                         if i >= n {
                             break;
                         }
-                        claims += 1;
-                        if let Some(t) = telemetry {
-                            #[cfg(feature = "trusted-owner")]
-                            t.queue_depth.record_ns((n - i) as u64);
-                            let _ = t;
-                            let task_start = Instant::now();
-                            let r = {
-                                let _task = span::enter("exec/task");
-                                f(i)
-                            };
-                            busy_ns += task_start.elapsed().as_nanos() as u64;
-                            *slots[i].lock() = Some(r);
-                        } else {
-                            *slots[i].lock() = Some(f(i));
-                        }
+                        let _task = span::enter("exec/task");
+                        *slots[i].lock() = Some(f(i));
                     }
-                    if let Some(t) = telemetry {
-                        t.busy.record_ns(busy_ns);
-                        let wall_ns = started.elapsed().as_nanos() as u64;
-                        t.idle.record_ns(wall_ns.saturating_sub(busy_ns));
-                        #[cfg(feature = "trusted-owner")]
-                        if claims > fair_share {
-                            t.steals.add((claims - fair_share) as u64);
-                        }
-                    }
-                    let _ = (claims, fair_share);
                 });
             }
         });
-
-        let drain_start = telemetry.as_ref().map(|_| Instant::now());
-        let out: Vec<R> = slots
+        slots
             .into_iter()
             .map(|s| {
                 s.into_inner()
                     .expect("every task index is claimed exactly once")
             })
-            .collect();
-        if let (Some(t), Some(at)) = (&telemetry, drain_start) {
-            t.reassembly.record_ns(at.elapsed().as_nanos() as u64);
-        }
-        out
+            .collect()
     }
 }
 

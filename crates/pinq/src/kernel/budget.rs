@@ -360,25 +360,6 @@ impl Accountant {
         });
     }
 
-    /// Run `f` as a named analysis phase: measures wall time and the exact
-    /// ε this accountant spent inside `f`, and emits a
-    /// [`dpnet_obs::PhaseEvent`] when it finishes. Returns `f`'s result.
-    pub fn observe_phase<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        let timer = dpnet_obs::SpanTimer::start();
-        let spent_before = self.spent();
-        let result = f();
-        let eps_spent = self.spent() - spent_before;
-        self.sink.emit(|| {
-            Event::Phase(dpnet_obs::PhaseEvent {
-                name: Arc::from(name),
-                eps_spent,
-                wall_ns: timer.elapsed_ns(),
-                at_ns: timer.started_at_ns(),
-            })
-        });
-        result
-    }
-
     /// Write the owner-side audit export as JSONL: one `spend` line per
     /// retained ledger entry, one `operator` line per operator and one
     /// `path` line per charge path with their *exact* net ε

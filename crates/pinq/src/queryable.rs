@@ -47,7 +47,7 @@ use crate::types::{Group, JoinGroup};
 use dpnet_obs::sink::SinkHandle;
 use dpnet_obs::span;
 use dpnet_obs::{
-    now_ns, AggregateEvent, Event, ExecEvent, Outcome, PlanEvent, SpanTimer, TransformEvent,
+    now_ns, AggregateEvent, Event, EventSink, ExecEvent, Outcome, PlanEvent, TransformEvent,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -144,6 +144,44 @@ fn outcome_of<R>(r: &Result<R>) -> Outcome {
         Ok(_) => Outcome::Ok,
         Err(Error::BudgetExceeded { .. }) => Outcome::Denied,
         Err(_) => Outcome::Invalid,
+    }
+}
+
+/// One observed engine region: its span, and the sink resolved once when
+/// the region opened. The span reads the clock only when a recorder is
+/// installed or the sink is bound, and every event the region emits takes
+/// its wall time and start timestamp from that span — so an unobserved
+/// region never reads the clock.
+struct Observed {
+    /// The span's name, which is also the kernel or operator name of the
+    /// events the region emits.
+    name: &'static str,
+    span: span::SpanGuard,
+    sink: Option<Arc<dyn EventSink>>,
+}
+
+impl Observed {
+    /// Resolve `sink`, then open the region's span with `enter(name,
+    /// timed)`, where `timed` says whether the sink needs a duration.
+    fn open(
+        sink: &SinkHandle,
+        name: &'static str,
+        enter: impl FnOnce(&'static str, bool) -> span::SpanGuard,
+    ) -> Self {
+        let sink = sink.resolve();
+        Observed {
+            name,
+            span: enter(name, sink.is_some()),
+            sink,
+        }
+    }
+
+    /// Emit the event `make` builds from the span's `(wall_ns, at_ns)` —
+    /// built only when a sink is bound.
+    fn emit(&self, make: impl FnOnce(u64, u64) -> Event) {
+        if let Some(sink) = &self.sink {
+            sink.emit(&make(self.span.elapsed_ns(), self.span.start_ns()));
+        }
     }
 }
 
@@ -344,16 +382,17 @@ impl<T> Queryable<T> {
         match &self.data {
             Data::Ready(a) => a.clone(),
             Data::Lazy(plan) => {
-                let prof = span::enter_with("plan/materialize", || self.ctx.mode().to_string());
-                let t = SpanTimer::start();
+                let obs = Observed::open(&self.sink, "plan/materialize", |name, timed| {
+                    span::enter_with(name, timed, || self.ctx.mode().to_string())
+                });
                 let mut fresh = false;
                 let out = match &self.ctx {
                     ExecCtx::Sequential => plan.force_sequential(&mut fresh),
                     ExecCtx::Pool(pool) => plan.force_pool(pool, &mut fresh),
                 };
                 if fresh {
-                    prof.set_records(out.len() as u64);
-                    self.emit_plan(plan.fused(), t.elapsed_ns(), plan.source_len(), out.len());
+                    obs.span.set_records(out.len() as u64);
+                    self.emit_plan(&obs, plan.fused(), plan.source_len(), out.len());
                 }
                 out
             }
@@ -379,7 +418,7 @@ impl<T> Queryable<T> {
     /// fused chain when nothing has materialized — the fused form of the
     /// count aggregations. Deterministic in both modes (chunk counts are
     /// integers, summed in chunk order).
-    fn stream_count(&self, kernel: &'static str, t: &SpanTimer) -> usize
+    fn stream_count(&self, obs: &Observed) -> usize
     where
         T: Send + Sync,
     {
@@ -389,7 +428,7 @@ impl<T> Queryable<T> {
                 ExecCtx::Sequential => {
                     let mut n = 0usize;
                     run(0..domain, &mut |_| n += 1);
-                    self.emit_exec(kernel, 1, 1, t.elapsed_ns());
+                    self.emit_exec(obs, 1, 1);
                     n
                 }
                 ExecCtx::Pool(pool) => {
@@ -399,7 +438,7 @@ impl<T> Queryable<T> {
                         run(r.clone(), &mut |_| n += 1);
                         n
                     });
-                    self.emit_exec(kernel, pool.workers(), ranges.len(), t.elapsed_ns());
+                    self.emit_exec(obs, pool.workers(), ranges.len());
                     counts.into_iter().sum()
                 }
             },
@@ -515,13 +554,7 @@ impl<T> Queryable<T> {
     }
 
     /// Emit a [`TransformEvent`] for a just-derived queryable.
-    fn emit_transform(
-        &self,
-        operator: &'static str,
-        stability_out: f64,
-        wall_ns: u64,
-        output_records: usize,
-    ) {
+    fn emit_transform(&self, operator: &'static str, stability_out: f64, output_records: usize) {
         // Quiet the unused warning when `trusted-owner` is off: the count
         // deliberately does not leave this function in that configuration.
         let _ = output_records;
@@ -531,7 +564,6 @@ impl<T> Queryable<T> {
                 label: self.label.clone(),
                 stability_in: self.stability,
                 stability_out,
-                wall_ns,
                 at_ns: now_ns(),
                 #[cfg(feature = "trusted-owner")]
                 output_records: output_records as u64,
@@ -539,23 +571,23 @@ impl<T> Queryable<T> {
         });
     }
 
-    /// Emit an [`AggregateEvent`] describing a finished aggregation.
+    /// Emit an [`AggregateEvent`] for the aggregation `obs` spans, which
+    /// ended in `r`; `released` maps a success to its scalar release.
     /// `input_records` only leaves this function under `trusted-owner`.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_aggregate(
+    fn emit_aggregate<R>(
         &self,
-        operator: &'static str,
+        obs: &Observed,
         mechanism: &'static str,
         eps: f64,
-        released: Option<f64>,
-        outcome: Outcome,
-        timer: SpanTimer,
+        r: &Result<R>,
+        released: impl FnOnce(&R) -> Option<f64>,
         input_records: usize,
     ) {
         let _ = input_records;
-        self.sink.emit(|| {
+        obs.emit(|wall_ns, at_ns| {
+            let outcome = outcome_of(r);
             Event::Aggregate(AggregateEvent {
-                operator,
+                operator: obs.name,
                 mechanism,
                 label: self.label.clone(),
                 stability: self.stability,
@@ -566,24 +598,30 @@ impl<T> Queryable<T> {
                     0.0
                 },
                 outcome,
-                released,
-                wall_ns: timer.elapsed_ns(),
-                at_ns: timer.started_at_ns(),
+                released: r.as_ref().ok().and_then(released),
+                wall_ns,
+                at_ns,
                 #[cfg(feature = "trusted-owner")]
                 input_records: input_records as u64,
             })
         });
     }
 
-    /// Emit a [`PlanEvent`] describing one actual plan materialization.
+    /// Emit a [`PlanEvent`] describing the materialization `obs` spans.
     /// The record counts only leave this function under `trusted-owner`.
-    fn emit_plan(&self, fused: usize, wall_ns: u64, source_records: usize, output_records: usize) {
+    fn emit_plan(
+        &self,
+        obs: &Observed,
+        fused: usize,
+        source_records: usize,
+        output_records: usize,
+    ) {
         let _ = (source_records, output_records);
         // Process-wide ordinal: explain-analyze counts materializations per
         // run by diffing, so monotonicity is all that matters here.
         static MATERIALIZATIONS: std::sync::atomic::AtomicU64 =
             std::sync::atomic::AtomicU64::new(1);
-        self.sink.emit(|| {
+        obs.emit(|wall_ns, at_ns| {
             Event::Plan(PlanEvent {
                 materialization: MATERIALIZATIONS
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -591,7 +629,7 @@ impl<T> Queryable<T> {
                 mode: self.ctx.mode(),
                 workers: self.ctx.workers() as u64,
                 wall_ns,
-                at_ns: now_ns(),
+                at_ns,
                 #[cfg(feature = "trusted-owner")]
                 source_records: source_records as u64,
                 #[cfg(feature = "trusted-owner")]
@@ -600,23 +638,18 @@ impl<T> Queryable<T> {
         });
     }
 
-    /// Emit an [`ExecEvent`] describing one finished parallel-kernel run.
-    /// `tasks` (the chunk count) is derived from the record count, so it
-    /// only leaves this function under `trusted-owner`.
-    pub(crate) fn emit_exec(
-        &self,
-        kernel: &'static str,
-        workers: usize,
-        tasks: usize,
-        wall_ns: u64,
-    ) {
+    /// Emit an [`ExecEvent`] for a parallel-kernel run inside the region
+    /// `obs` spans, timed from the region's start. `tasks` (the chunk
+    /// count) is derived from the record count, so it only leaves this
+    /// function under `trusted-owner`.
+    fn emit_exec(&self, obs: &Observed, workers: usize, tasks: usize) {
         let _ = tasks;
-        self.sink.emit(|| {
+        obs.emit(|wall_ns, at_ns| {
             Event::Exec(ExecEvent {
-                kernel,
+                kernel: obs.name,
                 workers: workers as u64,
                 wall_ns,
-                at_ns: now_ns(),
+                at_ns,
                 #[cfg(feature = "trusted-owner")]
                 tasks: tasks as u64,
             })
@@ -627,8 +660,14 @@ impl<T> Queryable<T> {
     /// static charge path the spend would narrate (e.g.
     /// `"part[3]/scale(x2)/root"`). Pure privacy metadata; when profiling
     /// is disabled this is one relaxed atomic load and nothing formats.
-    fn agg_span(&self, name: &'static str) -> span::SpanGuard {
-        span::enter_agg_with(name, || self.charge.describe())
+    fn agg_span(&self, name: &'static str, timed: bool) -> span::SpanGuard {
+        span::enter_agg_with(name, timed, || self.charge.describe())
+    }
+
+    /// Open an aggregation barrier's [`agg_span`](Self::agg_span) as an
+    /// observed region, for barriers that emit timed events.
+    fn observe(&self, name: &'static str) -> Observed {
+        Observed::open(&self.sink, name, |name, timed| self.agg_span(name, timed))
     }
 
     // ------------------------------------------------------------------
@@ -643,7 +682,6 @@ impl<T> Queryable<T> {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -668,7 +706,7 @@ impl<T> Queryable<T> {
             ),
         };
         let q = self.derive_lazy("filter", None, plan, self.stability);
-        self.emit_transform("filter", q.stability, t.elapsed_ns(), 0);
+        self.emit_transform("filter", q.stability, 0);
         q
     }
 
@@ -681,7 +719,6 @@ impl<T> Queryable<T> {
         T: Send + Sync + 'static,
         U: 'static,
     {
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -698,7 +735,7 @@ impl<T> Queryable<T> {
             ),
         };
         let q = self.derive_lazy("map", None, plan, self.stability);
-        self.emit_transform("map", q.stability, t.elapsed_ns(), 0);
+        self.emit_transform("map", q.stability, 0);
         q
     }
 
@@ -721,7 +758,6 @@ impl<T> Queryable<T> {
         if bound == 0 {
             return Err(Error::InvalidFanout(bound));
         }
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -755,7 +791,7 @@ impl<T> Queryable<T> {
             plan,
             self.stability * bound as f64,
         );
-        self.emit_transform("select_many", q.stability, t.elapsed_ns(), 0);
+        self.emit_transform("select_many", q.stability, 0);
         Ok(q)
     }
 
@@ -771,14 +807,13 @@ impl<T> Queryable<T> {
         K: Eq + Hash + Send,
         T: Clone + Send + Sync,
     {
-        let prof = self.agg_span("group_by");
-        let t = SpanTimer::start();
+        let prof = self.agg_span("group_by", false);
         let records = self.records();
         prof.set_records(records.len() as u64);
         let out = group::group_records(&self.exec_pool(), &records, &key);
         let n_out = out.len();
         let q = self.derive("group_by", out, self.stability * 2.0);
-        self.emit_transform("group_by", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform("group_by", q.stability, n_out);
         q
     }
 
@@ -789,7 +824,6 @@ impl<T> Queryable<T> {
         K: Eq + Hash,
         T: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
         let records = self.records();
         let mut seen = std::collections::HashSet::new();
         let out: Vec<T> = records
@@ -799,7 +833,7 @@ impl<T> Queryable<T> {
             .collect();
         let n_out = out.len();
         let q = self.derive("distinct_by", out, self.stability);
-        self.emit_transform("distinct_by", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform("distinct_by", q.stability, n_out);
         q
     }
 
@@ -829,8 +863,7 @@ impl<T> Queryable<T> {
         T: Clone + Send + Sync,
         U: Clone + Send + Sync,
     {
-        let prof = self.agg_span("join");
-        let t = SpanTimer::start();
+        let prof = self.agg_span("join", false);
         let left_records = self.records();
         let right_records = other.records();
         prof.set_records((left_records.len() + right_records.len()) as u64);
@@ -868,7 +901,7 @@ impl<T> Queryable<T> {
             ctx: self.ctx.clone(),
             lineage: OpNode::combined("join", self.lineage.clone(), other.lineage.clone()),
         };
-        self.emit_transform("join", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform("join", q.stability, n_out);
         q
     }
 
@@ -890,7 +923,6 @@ impl<T> Queryable<T> {
     where
         T: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
         let left = self.records();
         let right = other.records();
         let records = if right.is_empty() {
@@ -911,7 +943,7 @@ impl<T> Queryable<T> {
             ctx: self.ctx.clone(),
             lineage: OpNode::combined("concat", self.lineage.clone(), other.lineage.clone()),
         };
-        self.emit_transform("concat", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform("concat", q.stability, n_out);
         q
     }
 
@@ -921,7 +953,6 @@ impl<T> Queryable<T> {
     where
         T: Eq + Hash + Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
         let mine = self.records();
         let others = other.records();
         let theirs: std::collections::HashSet<&T> = others.iter().collect();
@@ -942,7 +973,7 @@ impl<T> Queryable<T> {
             ctx: self.ctx.clone(),
             lineage: OpNode::combined("intersect", self.lineage.clone(), other.lineage.clone()),
         };
-        self.emit_transform("intersect", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform("intersect", q.stability, n_out);
         q
     }
 
@@ -973,11 +1004,10 @@ impl<T> Queryable<T> {
         K: Eq + Hash + Clone + Sync,
         T: Clone + Send + Sync,
     {
-        let prof = self.agg_span("partition");
-        let t = SpanTimer::start();
+        let obs = self.observe("partition");
         let index_of = key_index(keys)?;
         let records = self.records();
-        prof.set_records(records.len() as u64);
+        obs.span.set_records(records.len() as u64);
         let parts: Vec<Vec<T>> = match &self.ctx {
             ExecCtx::Sequential => {
                 let mut parts: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
@@ -988,7 +1018,7 @@ impl<T> Queryable<T> {
                 }
                 // Sequential runs are still runs: one kernel event with
                 // `workers: 1`, so event streams cover both modes.
-                self.emit_exec("partition", 1, 1, t.elapsed_ns());
+                self.emit_exec(&obs, 1, 1);
                 parts
             }
             ExecCtx::Pool(pool) => {
@@ -1003,7 +1033,7 @@ impl<T> Queryable<T> {
                     });
                     buckets
                 });
-                self.emit_exec("partition", pool.workers(), n_tasks, t.elapsed_ns());
+                self.emit_exec(&obs, pool.workers(), n_tasks);
                 let mut parts: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
                 for local in locals {
                     for (part, mut bucket) in parts.iter_mut().zip(local) {
@@ -1016,7 +1046,7 @@ impl<T> Queryable<T> {
         let out = self.wrap_parts(parts);
         // One event for the whole partition; the part count is the (public)
         // key-list length, not a record count.
-        self.emit_transform("partition", 1.0, t.elapsed_ns(), keys.len());
+        self.emit_transform("partition", 1.0, keys.len());
         Ok(out)
     }
 
@@ -1068,10 +1098,10 @@ impl<T> Queryable<T> {
     ///   when nothing has materialized): the per-part record buffers never
     ///   exist. A 256-way fan-out costs one pass and 256 integers instead
     ///   of 256 allocations;
-    /// - per-part `Aggregate` events, and the timer behind them, are
-    ///   produced only when a sink is bound, and then match the unbatched
-    ///   form's event for event (each part's wall time is its share of the
-    ///   fan-out's).
+    /// - per-part `Aggregate` events are produced only when a sink is
+    ///   bound (only then does the fan-out's span read the clock), and
+    ///   then match the unbatched form's event for event (each part's wall
+    ///   time is its share of the fan-out's).
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key,
     /// like [`Queryable::partition`].
@@ -1085,8 +1115,7 @@ impl<T> Queryable<T> {
         K: Eq + Hash + Sync,
         T: Send + Sync,
     {
-        let prof = self.agg_span("partition_noisy_counts");
-        let t = SpanTimer::start();
+        let obs = self.observe("partition_noisy_counts");
         let index_of = key_index(keys)?;
         check_epsilon(eps)?;
         if !(self.stability.is_finite() && self.stability > 0.0) {
@@ -1103,7 +1132,7 @@ impl<T> Queryable<T> {
                         counts[i] += 1;
                     }
                 });
-                self.emit_exec("partition_noisy_counts", 1, 1, t.elapsed_ns());
+                self.emit_exec(&obs, 1, 1);
                 counts
             }
             ExecCtx::Pool(pool) => {
@@ -1117,12 +1146,7 @@ impl<T> Queryable<T> {
                     });
                     counts
                 });
-                self.emit_exec(
-                    "partition_noisy_counts",
-                    pool.workers(),
-                    ranges.len(),
-                    t.elapsed_ns(),
-                );
+                self.emit_exec(&obs, pool.workers(), ranges.len());
                 let mut counts = vec![0usize; keys.len()];
                 for local in locals {
                     for (c, l) in counts.iter_mut().zip(local) {
@@ -1132,7 +1156,7 @@ impl<T> Queryable<T> {
                 counts
             }
         };
-        prof.set_records(counts.iter().sum::<usize>() as u64);
+        obs.span.set_records(counts.iter().sum::<usize>() as u64);
         // The ledger the unbatched form builds in `wrap_parts`: parts
         // charge through one shared ledger scaled by this queryable's
         // stability; each part's own stability is 1. One kernel transition
@@ -1140,18 +1164,17 @@ impl<T> Queryable<T> {
         // prefix then draws its noise in part order.
         let ledger = kernel::partition_parts(&self.charge, self.stability, keys.len());
         let prep = kernel::prepare("noisy_count", self.label.clone());
-        let sink = self.sink.resolve();
-        let timer = sink.as_ref().map(|_| SpanTimer::start());
         let (charged, booked) = kernel::charge_fan_out(&ledger, keys.len(), eps, &prep);
         let released = aggregates::noisy_counts(&self.noise, &counts[..charged], eps)?;
-        if let (Some(sink), Some(timer)) = (sink, timer) {
+        if let Some(sink) = &obs.sink {
             // Per-part events mirror the unbatched per-part noisy_count:
             // stability 1, ε charged for each released part, and one
             // event for the refused part. A part's wall time is its share
-            // of the fan-out's booking and draws.
+            // of the fan-out's.
             let refusal = booked.as_ref().err().map(|e| Err(e.clone()));
             let events = charged + usize::from(refusal.is_some());
-            let wall_ns = timer.elapsed_ns() / events.max(1) as u64;
+            let wall_ns = obs.span.elapsed_ns() / events.max(1) as u64;
+            let at_ns = obs.span.start_ns();
             let results = released.iter().map(|&x| Ok(x)).chain(refusal);
             for (r, &n) in results.zip(&counts) {
                 let _ = n; // read only under `trusted-owner`
@@ -1166,7 +1189,7 @@ impl<T> Queryable<T> {
                     outcome,
                     released: r.ok(),
                     wall_ns,
-                    at_ns: timer.started_at_ns(),
+                    at_ns,
                     #[cfg(feature = "trusted-owner")]
                     input_records: n as u64,
                 }));
@@ -1233,15 +1256,20 @@ impl<T> Queryable<T> {
         // instead of 27.5 MB (2-vCPU KVM guest, seed 11).
         let streams: Vec<NoiseSource> = keys.iter().map(|_| self.noise.substream()).collect();
         let mut parts = self.partition(keys, key_fn)?;
-        let prof = span::enter("map_parts");
-        prof.set_records(parts.len() as u64);
-        let t = SpanTimer::start();
+        let obs = Observed::open(&self.sink, "map_parts", |name, timed| {
+            if timed {
+                span::enter_timed(name)
+            } else {
+                span::enter(name)
+            }
+        });
+        obs.span.set_records(parts.len() as u64);
         for (part, noise) in parts.iter_mut().zip(streams) {
             part.noise = noise;
         }
         let pool = self.exec_pool();
         let out = pool.run(&parts, |_, part| f(part));
-        self.emit_exec("map_parts", pool.workers(), parts.len(), t.elapsed_ns());
+        self.emit_exec(&obs, pool.workers(), parts.len());
         Ok(out)
     }
 
@@ -1260,22 +1288,13 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_count");
-        let t = SpanTimer::start();
-        let n = self.stream_count("noisy_count", &t);
-        prof.set_records(n as u64);
+        let obs = self.observe("noisy_count");
+        let n = self.stream_count(&obs);
+        obs.span.set_records(n as u64);
         let r = self
             .pay(eps, "noisy_count")
             .and_then(|()| aggregates::noisy_count(&self.noise, n, eps));
-        self.emit_aggregate(
-            "noisy_count",
-            "laplace",
-            eps,
-            r.as_ref().ok().copied(),
-            outcome_of(&r),
-            t,
-            n,
-        );
+        self.emit_aggregate(&obs, "laplace", eps, &r, |&v| Some(v), n);
         r
     }
 
@@ -1286,22 +1305,13 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_count_int");
-        let t = SpanTimer::start();
-        let n = self.stream_count("noisy_count_int", &t);
-        prof.set_records(n as u64);
+        let obs = self.observe("noisy_count_int");
+        let n = self.stream_count(&obs);
+        obs.span.set_records(n as u64);
         let r = self
             .pay(eps, "noisy_count_int")
             .and_then(|()| aggregates::noisy_count_int(&self.noise, n, eps));
-        self.emit_aggregate(
-            "noisy_count_int",
-            "geometric",
-            eps,
-            r.as_ref().ok().map(|&v| v as f64),
-            outcome_of(&r),
-            t,
-            n,
-        );
+        self.emit_aggregate(&obs, "geometric", eps, &r, |&v| Some(v as f64), n);
         r
     }
 
@@ -1337,8 +1347,7 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_sum");
-        let t = SpanTimer::start();
+        let obs = self.observe("noisy_sum");
         let mut n_records = 0usize;
         let r = (|| {
             if !(bound.is_finite() && bound > 0.0) {
@@ -1357,7 +1366,7 @@ impl<T> Queryable<T> {
                         n_records += 1;
                     });
                     // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec("noisy_sum", 1, 1, t.elapsed_ns());
+                    self.emit_exec(&obs, 1, 1);
                     total
                 }
                 ExecCtx::Pool(pool) => {
@@ -1371,23 +1380,15 @@ impl<T> Queryable<T> {
                         });
                         (s, n)
                     });
-                    self.emit_exec("noisy_sum", pool.workers(), ranges.len(), t.elapsed_ns());
+                    self.emit_exec(&obs, pool.workers(), ranges.len());
                     n_records = partials.iter().map(|&(_, n)| n).sum();
                     partials.iter().map(|&(s, _)| s).sum::<f64>()
                 }
             };
-            prof.set_records(n_records as u64);
+            obs.span.set_records(n_records as u64);
             Ok(total + crate::mechanisms::laplace_noise(&self.noise, bound / eps))
         })();
-        self.emit_aggregate(
-            "noisy_sum",
-            "laplace",
-            eps,
-            r.as_ref().ok().copied(),
-            outcome_of(&r),
-            t,
-            n_records,
-        );
+        self.emit_aggregate(&obs, "laplace", eps, &r, |&v| Some(v), n_records);
         r
     }
 
@@ -1405,10 +1406,9 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_sum_vector");
-        let t = SpanTimer::start();
+        let obs = self.observe("noisy_sum_vector");
         let records = self.records();
-        prof.set_records(records.len() as u64);
+        obs.span.set_records(records.len() as u64);
         let r = (|| {
             if !(l1_bound.is_finite() && l1_bound > 0.0) {
                 return Err(Error::InvalidRange {
@@ -1421,15 +1421,7 @@ impl<T> Queryable<T> {
         })();
         // Vector releases do not fit the scalar `released` slot; the event
         // still records ε, stability, outcome and timing.
-        self.emit_aggregate(
-            "noisy_sum_vector",
-            "laplace",
-            eps,
-            None,
-            outcome_of(&r),
-            t,
-            records.len(),
-        );
+        self.emit_aggregate(&obs, "laplace", eps, &r, |_| None, records.len());
         r
     }
 
@@ -1439,22 +1431,13 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_average");
-        let t = SpanTimer::start();
+        let obs = self.observe("noisy_average");
         let records = self.records();
-        prof.set_records(records.len() as u64);
+        obs.span.set_records(records.len() as u64);
         let r = self
             .pay(eps, "noisy_average")
             .and_then(|()| aggregates::noisy_average(&self.noise, records.iter().map(f), eps));
-        self.emit_aggregate(
-            "noisy_average",
-            "laplace",
-            eps,
-            r.as_ref().ok().copied(),
-            outcome_of(&r),
-            t,
-            records.len(),
-        );
+        self.emit_aggregate(&obs, "laplace", eps, &r, |&v| Some(v), records.len());
         r
     }
 
@@ -1490,10 +1473,9 @@ impl<T> Queryable<T> {
         K: Eq + Hash,
         T: Send + Sync,
     {
-        let prof = self.agg_span("most_common_key");
-        let t = SpanTimer::start();
+        let obs = self.observe("most_common_key");
         let records = self.records();
-        prof.set_records(records.len() as u64);
+        obs.span.set_records(records.len() as u64);
         let r = (|| {
             if candidates.is_empty() {
                 return Err(Error::EmptyCandidates);
@@ -1510,12 +1492,11 @@ impl<T> Queryable<T> {
             crate::mechanisms::exponential_mechanism_index(&self.noise, &counts, eps, 1.0)
         })();
         self.emit_aggregate(
-            "most_common_key",
+            &obs,
             "exponential",
             eps,
-            r.as_ref().ok().map(|&i| i as f64),
-            outcome_of(&r),
-            t,
+            &r,
+            |&i| Some(i as f64),
             records.len(),
         );
         r
@@ -1545,8 +1526,7 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        let prof = self.agg_span("noisy_median");
-        let t = SpanTimer::start();
+        let obs = self.observe("noisy_median");
         let mut n_records = 0usize;
         let r = (|| {
             if lo >= hi || !lo.is_finite() || !hi.is_finite() {
@@ -1562,7 +1542,7 @@ impl<T> Queryable<T> {
                     let mut values = Vec::new();
                     src.walk(0..domain, &mut |rec| values.push(f(rec)));
                     // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec("noisy_median", 1, 1, t.elapsed_ns());
+                    self.emit_exec(&obs, 1, 1);
                     values
                 }
                 ExecCtx::Pool(pool) => {
@@ -1572,7 +1552,7 @@ impl<T> Queryable<T> {
                         src.walk(rg.clone(), &mut |rec| v.push(f(rec)));
                         v
                     });
-                    self.emit_exec("noisy_median", pool.workers(), ranges.len(), t.elapsed_ns());
+                    self.emit_exec(&obs, pool.workers(), ranges.len());
                     let mut values = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
                     for mut c in chunks {
                         values.append(&mut c);
@@ -1581,18 +1561,10 @@ impl<T> Queryable<T> {
                 }
             };
             n_records = values.len();
-            prof.set_records(n_records as u64);
+            obs.span.set_records(n_records as u64);
             aggregates::noisy_median(&self.noise, &values, lo, hi, buckets, eps)
         })();
-        self.emit_aggregate(
-            "noisy_median",
-            "exponential",
-            eps,
-            r.as_ref().ok().copied(),
-            outcome_of(&r),
-            t,
-            n_records,
-        );
+        self.emit_aggregate(&obs, "exponential", eps, &r, |&v| Some(v), n_records);
         r
     }
 }

@@ -1,10 +1,10 @@
 //! Integration tests of the span profiler against real queryables: span
-//! trees from full query pipelines, worker-track telemetry, charge-path
-//! tagging, sequential-mode kernel events, and the privacy rule end-to-end.
+//! trees from full query pipelines, worker tracks, charge-path tagging,
+//! sequential-mode kernel events, events timed by their spans, and the
+//! privacy rule end-to-end.
 
 use dpnet_obs::{
-    install_recorder, uninstall_recorder, CompletedSpan, Event, MemorySink, MetricsRegistry,
-    TraceRecorder,
+    install_recorder, uninstall_recorder, CompletedSpan, Event, MemorySink, TraceRecorder,
 };
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -178,9 +178,6 @@ fn grouping_barriers_span_the_materializations_they_force() {
 #[test]
 fn pool_runs_produce_worker_tracks_tasks_and_telemetry() {
     let _g = global_guard();
-    let before = MetricsRegistry::global()
-        .histogram("exec.worker.busy_ns")
-        .count();
     let ((), spans, rec) = profiled(|| {
         let (_, _, q) = dataset(100_000, 100.0);
         let q = q.with_ctx(ExecCtx::pool(&ExecPool::new(4).unwrap()));
@@ -199,13 +196,49 @@ fn pool_runs_produce_worker_tracks_tasks_and_telemetry() {
         names.values().any(|n| n.starts_with("worker-")),
         "worker tracks should be named: {names:?}"
     );
-    // Per-worker telemetry landed in the global registry.
-    let reg = MetricsRegistry::global();
-    assert!(reg.histogram("exec.worker.busy_ns").count() > before);
-    assert!(reg.histogram("exec.worker.idle_ns").count() > 0);
-    assert!(reg.histogram("exec.reassembly_wait_ns").count() > 0);
-    #[cfg(feature = "trusted-owner")]
-    assert!(reg.histogram("exec.queue_depth").count() > 0);
+}
+
+/// Spans are the one timer: every event that carries a duration takes it
+/// from the span of the region it describes — an aggregation, the kernel
+/// run inside a pooled aggregation, a plan materialization. Each event's
+/// `at_ns` is its span's `start_ns`, and its `wall_ns` (read before the
+/// span closes) fits inside the span's `dur_ns`.
+#[test]
+fn timed_events_take_their_timing_from_their_span() {
+    let _g = global_guard();
+    let (sink, spans, _) = profiled(|| {
+        let (_, sink, q) = dataset(50_000, 100.0);
+        q.noisy_count(0.1).unwrap();
+        q.clone()
+            .with_ctx(ExecCtx::pool(&ExecPool::new(2).unwrap()))
+            .noisy_sum_clamped(0.1, 10.0, |&v| v as f64)
+            .unwrap();
+        q.filter(|v| v % 3 == 0).collect_protected();
+        sink
+    });
+    let span_named = |name: &str| -> &CompletedSpan {
+        let mut found = spans.iter().filter(|s| s.name == name);
+        let span = found.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(found.next().is_none(), "one {name} span expected");
+        span
+    };
+    let mut timed = Vec::new();
+    for event in sink.events() {
+        let (span, wall_ns, at_ns) = match &event {
+            Event::Aggregate(a) => (span_named(a.operator), a.wall_ns, a.at_ns),
+            Event::Exec(x) => (span_named(x.kernel), x.wall_ns, x.at_ns),
+            Event::Plan(p) => (span_named("plan/materialize"), p.wall_ns, p.at_ns),
+            _ => continue,
+        };
+        assert_eq!(at_ns, span.start_ns, "{event:?} vs {span:?}");
+        assert!(
+            wall_ns > 0 && wall_ns <= span.dur_ns,
+            "{event:?} vs {span:?}"
+        );
+        timed.push(event.kind());
+    }
+    timed.sort_unstable();
+    assert_eq!(timed, ["aggregate", "aggregate", "exec", "plan"]);
 }
 
 #[test]
