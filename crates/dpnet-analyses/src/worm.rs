@@ -69,9 +69,8 @@ pub struct WormFinding {
 /// Run private worm fingerprinting. Total privacy cost:
 /// `(payload_len + 2) × ε`.
 ///
-/// Every stage runs on the [`pinq::ExecCtx`] `packets` carries, and the
-/// findings at a fixed seed are the same on the calling thread and on a
-/// pool of any size.
+/// Every stage runs on the pool `packets` carries, and the findings at a
+/// fixed seed are the same on a pool of any size.
 pub fn worm_fingerprints(
     packets: &Queryable<Packet>,
     cfg: &WormConfig,
@@ -593,9 +592,11 @@ mod tests {
         assert!((acct.spent() - 16.0).abs() < 1e-9, "spent {}", acct.spent());
     }
 
-    /// The calling thread and pools of 1, 2 and 8 workers.
+    /// The flat loop (one worker, one chunk) and pools of 1, 2 and 8
+    /// workers.
     fn contexts() -> Vec<ExecCtx> {
-        let mut out = vec![ExecCtx::Sequential];
+        let flat = ExecPool::sequential().with_chunk_size(usize::MAX);
+        let mut out = vec![ExecCtx::pool(&flat)];
         for workers in [1, 2, 8] {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
             out.push(ExecCtx::pool(&pool));
@@ -604,7 +605,7 @@ mod tests {
     }
 
     /// Run `search` on the trace under every context; each must find what
-    /// the calling thread finds and spend what it spends.
+    /// the flat loop finds and spend what it spends.
     fn assert_ctx_invariant<R: PartialEq + std::fmt::Debug>(
         packets: &[Packet],
         seed: u64,

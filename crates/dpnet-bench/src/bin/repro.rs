@@ -15,9 +15,9 @@
 //! An unknown id fails the whole run before anything executes: exit 2,
 //! the id list on stderr, and no report written.
 //!
-//! With `--workers N` (N ≥ 1), the experiments that take an execution
-//! context (`fig1`, `itemsets`, `worm`) run on a shared [`pinq::ExecPool`]
-//! bound as their [`pinq::ExecCtx`]; the rest run on the calling thread.
+//! With `--workers N` (N ≥ 1), the experiments that take a pool (`fig1`,
+//! `itemsets`, `worm`) run on a shared N-worker [`pinq::ExecPool`]; the
+//! rest run on the one-worker pool, on the calling thread.
 //! Output is deterministic: for a fixed seed, any two worker counts
 //! produce identical results. The report target gains a
 //! `-wN` suffix when N > 1, so `BENCH_fig1.json` and `BENCH_fig1-w4.json`

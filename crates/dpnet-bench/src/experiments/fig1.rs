@@ -16,7 +16,7 @@ use crate::report::{f, header, pct, Table};
 use dpnet_toolkit::cdf::{cdf_hierarchical, cdf_naive, cdf_partition, noise_free_cdf};
 use dpnet_toolkit::stats::rmse;
 use dpnet_trace::{FlowKey, Packet};
-use pinq::{Accountant, ExecCtx, NoiseSource, Queryable, Result};
+use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable, Result};
 
 /// Number of 1 ms buckets: 0–250 ms, as in the paper.
 pub const BUCKETS: usize = 250;
@@ -50,10 +50,10 @@ pub fn private_retx_delays(packets: &Queryable<Packet>) -> Queryable<usize> {
         })
 }
 
-/// Run Figure 1 with the given total ε per estimator, on `ctx`. The CDF
-/// estimators release bit-identical values on the calling thread and on a
-/// pool of any size (noise draws never move off the calling thread).
-pub fn run(eps_total: f64, ctx: ExecCtx) -> Result<(Fig1, String)> {
+/// Run Figure 1 with the given total ε per estimator, on `pool`. The CDF
+/// estimators release bit-identical values on a pool of any size (noise
+/// draws never move off the calling thread).
+pub fn run(eps_total: f64, pool: &ExecPool) -> Result<(Fig1, String)> {
     let trace = datasets::hotspot();
 
     // Noise-free reference from the exact reference computation.
@@ -68,7 +68,7 @@ pub fn run(eps_total: f64, ctx: ExecCtx) -> Result<(Fig1, String)> {
     // Shared shards: wrapping is Arc bumps, not a trace copy, and the flat
     // order matches `trace.packets`, so releases are unchanged.
     let q = Queryable::from_shared_shards(datasets::hotspot_shards().clone(), &budget, &noise)
-        .with_ctx(ctx);
+        .with_ctx(ExecCtx::pool(pool));
     let delays = private_retx_delays(&q);
 
     let levels = (BUCKETS.next_power_of_two().trailing_zeros() + 1) as f64;
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn figure1_shape_holds() {
-        let (r, report) = run(1.0, ExecCtx::Sequential).unwrap();
+        let (r, report) = run(1.0, &ExecPool::sequential()).unwrap();
         let e1 = normalized_error(&r.cdf1, &r.truth);
         let e2 = normalized_error(&r.cdf2, &r.truth);
         let e3 = normalized_error(&r.cdf3, &r.truth);
@@ -144,9 +144,10 @@ mod tests {
 
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
-        let (seq, _) = run(1.0, ExecCtx::Sequential).unwrap();
-        let pool = pinq::ExecPool::new(2).unwrap();
-        let (par, _) = run(1.0, ExecCtx::pool(&pool)).unwrap();
+        // The reference is the flat loop: one worker, one chunk.
+        let flat = ExecPool::sequential().with_chunk_size(usize::MAX);
+        let (seq, _) = run(1.0, &flat).unwrap();
+        let (par, _) = run(1.0, &ExecPool::new(2).unwrap()).unwrap();
         assert_eq!(seq.cdf1, par.cdf1);
         assert_eq!(seq.cdf2, par.cdf2);
         assert_eq!(seq.cdf3, par.cdf3);

@@ -14,7 +14,7 @@ use crate::datasets;
 use crate::report::{f, header, Table};
 use dpnet_toolkit::itemsets::{exact_support, frequent_itemsets, ItemsetConfig};
 use dpnet_trace::gen::hotspot::COMMON_PORTS;
-use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::collections::BTreeSet;
 
 /// One discovered port pair.
@@ -64,15 +64,15 @@ pub fn private_host_port_sets(
     })
 }
 
-/// Run the port-itemset discovery at per-level accuracy `eps`, on `ctx`.
-/// Mining releases the same values on the calling thread and on a pool of
-/// any size (only partition data movement fans out).
-pub fn run(eps: f64, ctx: ExecCtx) -> (Vec<ItemsetRow>, String) {
+/// Run the port-itemset discovery at per-level accuracy `eps`, on `pool`.
+/// Mining releases the same values on a pool of any size (only partition
+/// data movement fans out).
+pub fn run(eps: f64, pool: &ExecPool) -> (Vec<ItemsetRow>, String) {
     let trace = datasets::hotspot();
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x17e3);
     let q = Queryable::from_shared_shards(datasets::hotspot_shards().clone(), &budget, &noise)
-        .with_ctx(ctx);
+        .with_ctx(ExecCtx::pool(pool));
 
     let records = private_host_port_sets(&q);
 
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn planted_port_pairs_are_recovered_in_order() {
-        let (rows, report) = run(1.0, ExecCtx::Sequential);
+        let (rows, report) = run(1.0, &ExecPool::sequential());
         assert!(rows.len() >= 5, "too few pairs: {}", rows.len());
         // Every one of the top-5 discovered pairs is genuinely frequent.
         let mut exacts: Vec<usize> = rows.iter().map(|r| r.exact).collect();

@@ -13,7 +13,7 @@ use crate::report::{header, Table};
 use dpnet_analyses::anomaly::{
     anomaly_norms, flag_anomalies, private_anomaly_norms, AnomalyConfig,
 };
-use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
+use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
 
 /// One summary row.
 #[derive(Debug, Clone)]
@@ -88,7 +88,7 @@ pub fn run() -> (Vec<Table2Row>, String) {
         .map(|(e, _)| *e);
 
     // Worm fingerprinting: smallest ε recovering ≥ 95% of signatures.
-    let (wr, _) = worm_exp::run(datasets::hotspot(), ExecCtx::Sequential);
+    let (wr, _) = worm_exp::run(datasets::hotspot(), &ExecPool::sequential());
     let worm_eps = wr
         .recovery
         .iter()

@@ -9,7 +9,7 @@ use crate::datasets::EPSILONS;
 use crate::report::{f, header, Table};
 use dpnet_analyses::worm::{worm_fingerprints, worm_fingerprints_exact, WormConfig};
 use dpnet_trace::FlowKey;
-use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::collections::HashSet;
 
 /// Recovery result per privacy level.
@@ -36,17 +36,20 @@ pub struct WormResult {
 }
 
 /// Run the worm experiment over `trace` (the standard Hotspot trace, or a
-/// smaller one in tests), on `ctx`. The fingerprint search draws per-part
-/// noise substreams, so its releases are the same on the calling thread
-/// and on a pool of any size.
-pub fn run(trace: &dpnet_trace::gen::hotspot::HotspotTrace, ctx: ExecCtx) -> (WormResult, String) {
+/// smaller one in tests), on `pool`. The fingerprint search draws per-part
+/// noise substreams, so its releases are the same on a pool of any size.
+pub fn run(
+    trace: &dpnet_trace::gen::hotspot::HotspotTrace,
+    pool: &ExecPool,
+) -> (WormResult, String) {
     let exact = worm_fingerprints_exact(&trace.packets, 8, 50, 50);
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x3042);
     // Generator-emitted shards: the trace enters the engine pre-chunked
     // (flat order unchanged, so releases are identical to a flat source).
-    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise).with_ctx(ctx);
+    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise)
+        .with_ctx(ExecCtx::pool(pool));
 
     // The paper's companion measurement: count payload groups with > 5
     // distinct sources and destinations, without revealing the payloads.
@@ -124,7 +127,7 @@ mod tests {
             itemset_hosts: 20,
             ..Default::default()
         });
-        let (r, report) = run(&trace, ExecCtx::Sequential);
+        let (r, report) = run(&trace, &ExecPool::sequential());
         assert!(
             r.exact_count >= 20,
             "exact set too small: {}",

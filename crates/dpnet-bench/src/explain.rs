@@ -298,7 +298,6 @@ mod tests {
             Event::Plan(PlanEvent {
                 materialization: 1,
                 fused_stages: 3,
-                mode: "sequential",
                 workers: 1,
                 wall_ns: 5,
                 at_ns: 15,

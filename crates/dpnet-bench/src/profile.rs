@@ -20,7 +20,7 @@ use dpnet_obs::{
     install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace_aggregated,
     AggregatedSpans, MemorySink, SpanMode, TraceRecorder,
 };
-use pinq::{ExecCtx, ExecPool};
+use pinq::ExecPool;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,13 +53,13 @@ pub fn run_experiment(id: &str, pool: &ExecPool) -> Result<String, String> {
     match id {
         "table1" => Ok(exp::table1::run(3000).1),
         "example23" => Ok(exp::example23::run(400).1),
-        "fig1" => exp::fig1::run(1.0, ExecCtx::pool(pool))
+        "fig1" => exp::fig1::run(1.0, pool)
             .map(|(_, s)| s)
             .map_err(|e| e.to_string()),
         "table4" => Ok(exp::table4::run(10, 1.0).1),
-        "itemsets" => Ok(exp::itemsets_exp::run(1.0, ExecCtx::pool(pool)).1),
+        "itemsets" => Ok(exp::itemsets_exp::run(1.0, pool).1),
         "fig2" => Ok(exp::fig2::run().1),
-        "worm" => Ok(exp::worm_exp::run(datasets::hotspot(), ExecCtx::pool(pool)).1),
+        "worm" => Ok(exp::worm_exp::run(datasets::hotspot(), pool).1),
         "fig3" => Ok(exp::fig3::run().1),
         "table5" => Ok(exp::table5::run().1),
         "fig4" => Ok(exp::fig4::run().1),

@@ -37,7 +37,10 @@ fn main() {
         )),
     };
     match result {
-        Ok(report) => println!("{report}"),
+        // Reports may already end in a newline (text fixtures such as
+        // `bench-reports/EXPLAIN_*.txt` are stdout byte for byte): print
+        // exactly one.
+        Ok(report) => println!("{}", report.trim_end_matches('\n')),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -133,7 +133,7 @@ pub struct ExecEvent {
 /// already-forced plan emit nothing — so the number of `Plan` events is the
 /// number of intermediate buffers the engine really allocated. The fusion
 /// width (how many adjacent operators collapsed into the single pass) and
-/// the execution mode are analyst-chosen query structure, not data; the
+/// the worker count are analyst-chosen query structure, not data; the
 /// true source/output record counts are data-dependent and compile in only
 /// under `trusted-owner`.
 #[derive(Debug, Clone)]
@@ -145,9 +145,7 @@ pub struct PlanEvent {
     pub materialization: u64,
     /// Number of adjacent operators fused into the materialized pass.
     pub fused_stages: u64,
-    /// Execution mode that forced the plan: `"sequential"` or `"pool"`.
-    pub mode: &'static str,
-    /// Worker threads used by the forcing run (1 for sequential).
+    /// Worker threads of the pool the forcing run used.
     pub workers: u64,
     /// Wall time of the materialization, ns.
     pub wall_ns: u64,
@@ -288,7 +286,6 @@ impl Event {
             Event::Plan(e) => {
                 o.field_u64("materialization", e.materialization)
                     .field_u64("fused_stages", e.fused_stages)
-                    .field_str("mode", e.mode)
                     .field_u64("workers", e.workers)
                     .field_u64("wall_ns", e.wall_ns)
                     .field_u64("at_ns", e.at_ns);
@@ -395,7 +392,6 @@ mod tests {
         let p = Event::Plan(PlanEvent {
             materialization: 1,
             fused_stages: 3,
-            mode: "pool",
             workers: 4,
             wall_ns: 9,
             at_ns: 10,
@@ -415,7 +411,6 @@ mod tests {
         let e = Event::Plan(PlanEvent {
             materialization: 4,
             fused_stages: 2,
-            mode: "sequential",
             workers: 1,
             wall_ns: 321,
             at_ns: 7,
@@ -428,7 +423,6 @@ mod tests {
         assert_eq!(m["type"].as_str(), Some("plan"));
         assert_eq!(m["materialization"].as_f64(), Some(4.0));
         assert_eq!(m["fused_stages"].as_f64(), Some(2.0));
-        assert_eq!(m["mode"].as_str(), Some("sequential"));
         assert_eq!(m["workers"].as_f64(), Some(1.0));
     }
 

@@ -18,13 +18,12 @@
 
 //! ## Parallel evaluation
 //!
-//! The estimators honor the execution context carried by the input
-//! queryable: bind a pool once with
-//! `data.with_ctx(ExecCtx::pool(&pool))` and every plan materialization
-//! and partition inside runs chunked on that pool. Every noise draw still
-//! happens on the calling thread in the same order as the sequential path,
-//! so at a fixed seed the released values are **bit-identical** for any
-//! worker count, and budget charges are identical by construction.
+//! The estimators run on the pool carried by the input queryable: bind one
+//! with `data.with_ctx(ExecCtx::pool(&pool))` and every plan
+//! materialization and partition inside runs chunked on that pool. Every
+//! noise draw still happens on the calling thread, in the same order for
+//! any pool, so at a fixed seed the released values are **bit-identical**
+//! for any worker count, and budget charges are identical by construction.
 
 use dpnet_obs::{emit_phase_global, span};
 use pinq::{Queryable, Result};
@@ -283,13 +282,16 @@ mod tests {
 
     #[test]
     fn pool_variants_release_identical_values_and_charges() {
-        // The determinism contract, end to end: binding a pool `ExecCtx`
-        // matches the sequential path bit-for-bit at a fixed seed, for any
-        // worker count, with identical budget spends.
+        // The determinism contract, end to end: every pool matches the
+        // flat loop bit-for-bit at a fixed seed, for any worker count, with
+        // identical budget spends.
         let run = |workers: Option<usize>| -> (Vec<f64>, Vec<f64>, Vec<f64>, f64) {
             let (acct, q, _) = dataset(0xCDF, 1000.0);
             let q = match workers {
-                None => q,
+                // The flat loop: one worker, one chunk.
+                None => q.with_ctx(ExecCtx::pool(
+                    &ExecPool::sequential().with_chunk_size(usize::MAX),
+                )),
                 Some(w) => q.with_ctx(ExecCtx::pool(&ExecPool::new(w).unwrap())),
             };
             let (c1, c2, c3) = (
@@ -299,9 +301,9 @@ mod tests {
             );
             (c1, c2, c3, acct.spent())
         };
-        let sequential = run(None);
+        let flat = run(None);
         for workers in [1, 2, 8] {
-            assert_eq!(sequential, run(Some(workers)), "workers={workers}");
+            assert_eq!(flat, run(Some(workers)), "workers={workers}");
         }
     }
 

@@ -349,15 +349,18 @@ mod tests {
         let run = |workers: Option<usize>| {
             let (acct, q) = protect(dataset(), 100.0, 33);
             let q = match workers {
-                None => q,
+                // The flat loop: one worker, one chunk.
+                None => q.with_ctx(ExecCtx::pool(
+                    &ExecPool::sequential().with_chunk_size(usize::MAX),
+                )),
                 Some(w) => q.with_ctx(ExecCtx::pool(&ExecPool::new(w).unwrap())),
             };
             let found = frequent_itemsets(&q, &cfg).unwrap();
             (found, acct.spent())
         };
-        let sequential = run(None);
+        let flat = run(None);
         for workers in [1, 2, 8] {
-            assert_eq!(sequential, run(Some(workers)), "workers={workers}");
+            assert_eq!(flat, run(Some(workers)), "workers={workers}");
         }
     }
 

@@ -13,8 +13,8 @@
 //! so generated traces can be cached between harness runs and shipped
 //! between the generator and analysis sides without re-generation.
 
+use super::Cursor;
 use crate::packet::{Packet, Proto, TcpFlags};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -65,23 +65,23 @@ const MAX_PAYLOAD: u32 = 1 << 20;
 
 /// Serialize a trace to a writer.
 pub fn write_trace<W: Write>(mut w: W, packets: &[Packet]) -> Result<(), FormatError> {
-    let mut buf = BytesMut::with_capacity(16 + packets.len() * 40);
-    buf.put_slice(&MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(packets.len() as u64);
+    let mut buf = Vec::with_capacity(16 + packets.len() * 40);
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(packets.len() as u64).to_le_bytes());
     for p in packets {
-        buf.put_u64_le(p.ts_us);
-        buf.put_u32_le(p.src_ip);
-        buf.put_u32_le(p.dst_ip);
-        buf.put_u16_le(p.src_port);
-        buf.put_u16_le(p.dst_port);
-        buf.put_u8(p.proto.number());
-        buf.put_u8(p.flags.0);
-        buf.put_u16_le(p.len);
-        buf.put_u32_le(p.seq);
-        buf.put_u32_le(p.ack);
-        buf.put_u32_le(p.payload.len() as u32);
-        buf.put_slice(&p.payload);
+        buf.extend_from_slice(&p.ts_us.to_le_bytes());
+        buf.extend_from_slice(&p.src_ip.to_le_bytes());
+        buf.extend_from_slice(&p.dst_ip.to_le_bytes());
+        buf.extend_from_slice(&p.src_port.to_le_bytes());
+        buf.extend_from_slice(&p.dst_port.to_le_bytes());
+        buf.push(p.proto.number());
+        buf.push(p.flags.0);
+        buf.extend_from_slice(&p.len.to_le_bytes());
+        buf.extend_from_slice(&p.seq.to_le_bytes());
+        buf.extend_from_slice(&p.ack.to_le_bytes());
+        buf.extend_from_slice(&(p.payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&p.payload);
         // Flush periodically so huge traces do not hold 2× memory.
         if buf.len() > 1 << 20 {
             w.write_all(&buf)?;
@@ -96,45 +96,43 @@ pub fn write_trace<W: Write>(mut w: W, packets: &[Packet]) -> Result<(), FormatE
 pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Packet>, FormatError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
+    let mut buf = Cursor(&raw);
     if buf.remaining() < 13 {
         return Err(FormatError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let magic: [u8; 4] = buf.array();
     if magic != MAGIC {
         return Err(FormatError::BadMagic(magic));
     }
-    let version = buf.get_u8();
+    let version = buf.u8();
     if version != VERSION {
         return Err(FormatError::BadVersion(version));
     }
-    let count = buf.get_u64_le() as usize;
+    let count = buf.u64_le() as usize;
     let mut packets = Vec::with_capacity(count.min(1 << 24));
     for _ in 0..count {
         // Fixed part: 8+4+4+2+2+1+1+2+4+4+4 = 36 bytes.
         if buf.remaining() < 36 {
             return Err(FormatError::Truncated);
         }
-        let ts_us = buf.get_u64_le();
-        let src_ip = buf.get_u32_le();
-        let dst_ip = buf.get_u32_le();
-        let src_port = buf.get_u16_le();
-        let dst_port = buf.get_u16_le();
-        let proto = Proto::from_number(buf.get_u8());
-        let flags = TcpFlags(buf.get_u8());
-        let len = buf.get_u16_le();
-        let seq = buf.get_u32_le();
-        let ack = buf.get_u32_le();
-        let plen = buf.get_u32_le();
+        let ts_us = buf.u64_le();
+        let src_ip = buf.u32_le();
+        let dst_ip = buf.u32_le();
+        let src_port = buf.u16_le();
+        let dst_port = buf.u16_le();
+        let proto = Proto::from_number(buf.u8());
+        let flags = TcpFlags(buf.u8());
+        let len = buf.u16_le();
+        let seq = buf.u32_le();
+        let ack = buf.u32_le();
+        let plen = buf.u32_le();
         if plen > MAX_PAYLOAD {
             return Err(FormatError::OversizedPayload(plen));
         }
         if buf.remaining() < plen as usize {
             return Err(FormatError::Truncated);
         }
-        let payload = Arc::from(&buf[..plen as usize]);
-        buf.advance(plen as usize);
+        let payload = Arc::from(buf.take(plen as usize));
         packets.push(Packet {
             ts_us,
             src_ip,

@@ -12,8 +12,8 @@
 //! exactly (timestamps, addresses, ports, seq/ack, flags, payload, wire
 //! length ≥ header sizes); ICMP/other lose port fields (they have none).
 
+use super::Cursor;
 use crate::packet::{Packet, Proto, TcpFlags};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -67,23 +67,23 @@ fn l4_header_len(proto: Proto) -> usize {
 
 /// Write a trace as a pcap file.
 pub fn write_pcap<W: Write>(mut w: W, packets: &[Packet]) -> Result<(), PcapError> {
-    let mut buf = BytesMut::with_capacity(24 + packets.len() * 96);
-    buf.put_u32_le(PCAP_MAGIC);
-    buf.put_u16_le(2); // version major
-    buf.put_u16_le(4); // version minor
-    buf.put_i32_le(0); // thiszone
-    buf.put_u32_le(0); // sigfigs
-    buf.put_u32_le(65535); // snaplen
-    buf.put_u32_le(LINKTYPE_ETHERNET);
+    let mut buf = Vec::with_capacity(24 + packets.len() * 96);
+    buf.extend_from_slice(&PCAP_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&2u16.to_le_bytes()); // version major
+    buf.extend_from_slice(&4u16.to_le_bytes()); // version minor
+    buf.extend_from_slice(&0i32.to_le_bytes()); // thiszone
+    buf.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
+    buf.extend_from_slice(&65535u32.to_le_bytes()); // snaplen
+    buf.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
 
     for p in packets {
         let frame = build_frame(p);
         let orig = (ETH_LEN + p.len as usize).max(frame.len());
-        buf.put_u32_le((p.ts_us / 1_000_000) as u32);
-        buf.put_u32_le((p.ts_us % 1_000_000) as u32);
-        buf.put_u32_le(frame.len() as u32);
-        buf.put_u32_le(orig as u32);
-        buf.put_slice(&frame);
+        buf.extend_from_slice(&((p.ts_us / 1_000_000) as u32).to_le_bytes());
+        buf.extend_from_slice(&((p.ts_us % 1_000_000) as u32).to_le_bytes());
+        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(orig as u32).to_le_bytes());
+        buf.extend_from_slice(&frame);
         if buf.len() > 1 << 20 {
             w.write_all(&buf)?;
             buf.clear();
@@ -139,17 +139,17 @@ fn build_frame(p: &Packet) -> Vec<u8> {
 pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
+    let mut buf = Cursor(&raw);
     if buf.remaining() < 24 {
         return Err(PcapError::Truncated);
     }
-    let magic = buf.get_u32_le();
+    let magic = buf.u32_le();
     if magic != PCAP_MAGIC {
         return Err(PcapError::BadMagic(magic));
     }
-    buf.advance(12); // version, thiszone, sigfigs
-    buf.advance(4); // snaplen
-    let linktype = buf.get_u32_le();
+    buf.take(12); // version, thiszone, sigfigs
+    buf.take(4); // snaplen
+    let linktype = buf.u32_le();
     if linktype != LINKTYPE_ETHERNET {
         return Err(PcapError::BadLinkType(linktype));
     }
@@ -159,15 +159,15 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
         if buf.remaining() < 16 {
             return Err(PcapError::Truncated);
         }
-        let ts_sec = buf.get_u32_le() as u64;
-        let ts_usec = buf.get_u32_le() as u64;
-        let incl = buf.get_u32_le() as usize;
-        let orig = buf.get_u32_le() as usize;
+        let ts_sec = buf.u32_le() as u64;
+        let ts_usec = buf.u32_le() as u64;
+        let incl = buf.u32_le() as usize;
+        let orig = buf.u32_le() as usize;
         if buf.remaining() < incl {
             return Err(PcapError::Truncated);
         }
-        let frame = buf.copy_to_bytes(incl);
-        if let Some(p) = parse_frame(&frame, ts_sec * 1_000_000 + ts_usec, orig) {
+        let frame = buf.take(incl);
+        if let Some(p) = parse_frame(frame, ts_sec * 1_000_000 + ts_usec, orig) {
             out.push(p);
         }
     }

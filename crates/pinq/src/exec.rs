@@ -51,9 +51,21 @@
 //! from 51 to 76–95 MB, and `MALLOC_ARENA_MAX=1` brought it back to 51 MB
 //! (2-vCPU KVM guest, seed 11): the extra memory was per-thread arenas.
 //!
+//! The kernels' layouts under this rule:
+//!
+//! - grouping (`group.rs`): a hash array, part maps pre-sized to each
+//!   part, and local-id and size arrays, each split into per-task slices;
+//! - `partition`: one `Vec<u32>` of each record's part index, split per
+//!   chunk; the calling thread then sizes each part exactly and fills the
+//!   parts in record order;
+//! - `partition_noisy_counts`: one `min(workers, chunks) × keys` count
+//!   matrix, one row per task, summed by the calling thread. When each
+//!   chunk kept its own histogram instead, `frequent_strings`' 131,072
+//!   keys held about 22 one-megabyte histograms alive at once.
+//!
 //! Privacy semantics are untouched: the pool never talks to the accountant;
-//! kernels charge exactly what their sequential counterparts charge, and the
-//! budget/ledger types are already thread-safe for the concurrent spends.
+//! kernels charge the same at every worker count, and the budget/ledger
+//! types are already thread-safe for the concurrent spends.
 
 use crate::error::{Error, Result};
 use dpnet_obs::span;
@@ -210,35 +222,35 @@ impl ExecPool {
     }
 }
 
-/// The execution context a [`crate::Queryable`] carries: where its plans
-/// materialize and where its chunked aggregation kernels run.
+/// Where a [`crate::Queryable`] runs, as given to
+/// [`Queryable::with_ctx`](crate::Queryable::with_ctx) and
+/// [`SessionManager::with_ctx`](crate::SessionManager::with_ctx).
 ///
-/// One code path serves both modes — every operator consults the context at
-/// its barrier instead of existing in `op`/`op_with` twin form. The pool
-/// variant *owns* a (cheap, thread-less) [`ExecPool`] clone so the context
-/// can ride inside `Queryable` without a lifetime parameter.
-///
-/// Floating-point identity: the context is part of a released value's
-/// identity for chunked reductions. `Sequential` sums flat;
-/// `Pool` sums per fixed-size chunk and combines in chunk order — identical
-/// for **any worker count** (even one), but possibly an ulp away from the
-/// flat sequential sum. This mirrors the old `noisy_sum_clamped` versus
-/// `noisy_sum_clamped_with` split exactly.
+/// Every queryable carries an [`ExecPool`] (by default
+/// [`ExecPool::sequential`], which runs inline on the calling thread), and
+/// every operator has one code path, on that pool. `with_ctx` converts
+/// its argument once: `Sequential` is the one-worker pool and `Pool(p)`
+/// is `p`. Nothing else reads this type. It remains, instead of
+/// `with_ctx` taking an `ExecPool`, because the `dpbench` benchmark
+/// (`benchmark/src/batch.rs`) names `ExecCtx::Sequential`,
+/// `ExecCtx::pool` and `Queryable::with_ctx`.
 ///
 /// ```
-/// use pinq::{ExecCtx, ExecPool};
+/// use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 ///
-/// let ctx = ExecCtx::pool(&ExecPool::new(4).unwrap());
-/// assert_eq!(ctx.workers(), 4);
-/// assert_eq!(ExecCtx::Sequential.workers(), 1);
+/// let run = |ctx: ExecCtx| {
+///     let budget = Accountant::new(1.0);
+///     let q = Queryable::new(vec![0.1f64; 20_000], &budget, &NoiseSource::seeded(1));
+///     q.with_ctx(ctx).noisy_sum(0.5, |&v| v).unwrap().to_bits()
+/// };
+/// // One path: the calling thread and a pool release the same bits.
+/// assert_eq!(run(ExecCtx::Sequential), run(ExecCtx::pool(&ExecPool::new(4).unwrap())));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub enum ExecCtx {
-    /// Run on the calling thread; flat (unchunked) reductions.
-    #[default]
+    /// The one-worker pool, [`ExecPool::sequential`].
     Sequential,
-    /// Run chunked kernels on a worker pool; deterministic for any worker
-    /// count at a fixed chunk size.
+    /// This pool.
     Pool(ExecPool),
 }
 
@@ -248,27 +260,11 @@ impl ExecCtx {
         ExecCtx::Pool(pool.clone())
     }
 
-    /// Worker threads a kernel run may use (1 when sequential).
-    pub fn workers(&self) -> usize {
+    /// The pool this context names.
+    pub(crate) fn into_pool(self) -> ExecPool {
         match self {
-            ExecCtx::Sequential => 1,
-            ExecCtx::Pool(p) => p.workers(),
-        }
-    }
-
-    /// The backing pool, when parallel.
-    pub fn as_pool(&self) -> Option<&ExecPool> {
-        match self {
-            ExecCtx::Sequential => None,
-            ExecCtx::Pool(p) => Some(p),
-        }
-    }
-
-    /// Stable mode string used in plan events.
-    pub fn mode(&self) -> &'static str {
-        match self {
-            ExecCtx::Sequential => "sequential",
-            ExecCtx::Pool(_) => "pool",
+            ExecCtx::Sequential => ExecPool::sequential(),
+            ExecCtx::Pool(p) => p,
         }
     }
 }

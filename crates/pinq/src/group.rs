@@ -133,9 +133,8 @@ fn part_of(hash: u64, parts: usize) -> usize {
 /// The part count is `next_power_of_two(n / chunk)`, capped at
 /// [`MAX_PARTS`]: it depends on the input length and the pool's chunk size
 /// only, so an input under two chunks is one part, and the output does
-/// not depend on it at all. Every worker count, and
-/// [`ExecCtx::Sequential`] (which runs the same phases through
-/// [`ExecPool::sequential`]), releases the same groups.
+/// not depend on it at all. Every worker count, including
+/// [`ExecPool::sequential`], releases the same groups.
 ///
 /// On fig1's grouping (~110k TCP data packets by `(FlowKey, seq)` into
 /// ~108k groups, 2-vCPU KVM guest) the four spans took a mean 3.6, 8.3,
@@ -143,8 +142,6 @@ fn part_of(hash: u64, parts: usize) -> usize {
 /// 6.3, 11.8, 4.8 and 4.2 ms on one worker, over 40 profiled runs. dpbench `batch-retx` ran 1.42×
 /// faster than with the single-map kernel this replaced (17.6 → 25.0 runs/s
 /// at seed 11), and its `peak_rss_mb` fell from 52 to 50 MB.
-///
-/// [`ExecCtx::Sequential`]: crate::ExecCtx::Sequential
 pub(crate) fn group_records<K, T>(
     pool: &ExecPool,
     records: &Shards<T>,

@@ -27,7 +27,7 @@
 //!   [`Queryable::partition`] cost only their maximum. The per-part queries
 //!   run through one fan-out API: [`Queryable::partition_noisy_counts`]
 //!   counts every part in one pass, and [`Queryable::partition_map`] runs
-//!   any other per-part query on the queryable's [`ExecCtx`].
+//!   any other per-part query on the queryable's [`ExecPool`].
 //!
 //! ## Guarantee
 //!

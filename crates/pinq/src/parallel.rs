@@ -1,9 +1,8 @@
 //! Parallel composition on worker pools, tested through the one fan-out
-//! API: [`Queryable::partition_map`](crate::Queryable::partition_map) under
-//! an [`ExecCtx::Pool`](crate::ExecCtx::Pool) measures every part on the
-//! pool, releases what the calling thread releases at the same seed, and
-//! charges the budget the max of the parts. Test-only: the fan-out itself
-//! lives on `Queryable`.
+//! API: [`Queryable::partition_map`](crate::Queryable::partition_map)
+//! measures every part on the queryable's pool, releases what one worker
+//! releases at the same seed, and charges the budget the max of the parts.
+//! Test-only: the fan-out itself lives on `Queryable`.
 
 mod tests {
     use crate::error::Error;
@@ -40,12 +39,17 @@ mod tests {
 
     #[test]
     fn zero_workers_is_an_error() {
-        // No pool, and so no `ExecCtx`, can carry zero workers: the fan-out
-        // always has at least the calling thread.
+        // No pool can carry zero workers: the fan-out always has at least
+        // the calling thread, and a queryable with no pool bound runs
+        // every part there.
         assert_eq!(ExecPool::new(0).unwrap_err(), Error::InvalidWorkers(0));
-        assert_eq!(ExecCtx::Sequential.workers(), 1);
+        assert_eq!(ExecPool::sequential().workers(), 1);
         let (_, q) = dataset(100, 1.0);
-        assert_eq!(q.ctx().workers(), 1);
+        let caller = std::thread::current().id();
+        let threads = q
+            .partition_map(&[0u32, 1], |&x| x % 2, |_| std::thread::current().id())
+            .unwrap();
+        assert_eq!(threads, vec![caller; 2]);
     }
 
     #[test]
@@ -78,6 +82,8 @@ mod tests {
         };
         let (one, spent) = run(ExecCtx::pool(&ExecPool::new(1).unwrap()));
         assert_eq!(one.len(), 5);
-        assert_eq!((one, spent), run(ExecCtx::Sequential));
+        // The reference is the flat loop: one chunk spanning the input.
+        let flat = ExecPool::sequential().with_chunk_size(100);
+        assert_eq!((one, spent), run(ExecCtx::pool(&flat)));
     }
 }

@@ -20,9 +20,9 @@
 //! its eager equivalent. Laziness only moves *when* the record buffers
 //! exist — never what is released or charged.
 //!
-//! Determinism: stages are pure per-record functions, so a pool-forced
-//! materialization (fixed-size chunks, concatenated in chunk order) is
-//! bit-identical to the sequential one, for any worker count.
+//! Determinism: stages are pure per-record functions, so a materialization
+//! (fixed-size chunks, kept in chunk order) holds the same record sequence
+//! for any worker count and any chunk size.
 
 use crate::exec::ExecPool;
 use crate::shard::Shards;
@@ -88,29 +88,17 @@ impl<T> LazyPlan<T> {
             None => View::Chain(self.run.clone(), self.source_len, self.fused),
         }
     }
-
-    /// Force on the calling thread: one pass over the whole source. Sets
-    /// `*fresh` when this call actually materialized (vs. read the memo).
-    pub(crate) fn force_sequential(&self, fresh: &mut bool) -> Shards<T> {
-        self.cell
-            .get_or_init(|| {
-                *fresh = true;
-                let mut out = Vec::new();
-                (self.run)(0..self.source_len, &mut |t| out.push(t));
-                Shards::from_vec(out)
-            })
-            .clone()
-    }
 }
 
 impl<T: Send + Sync> LazyPlan<T> {
-    /// Force on a worker pool: the source splits into fixed-size chunks
-    /// (positions depend only on length and chunk size) and each chunk runs
-    /// the fused pass independently. Each chunk's output becomes one shard
-    /// of the result, in chunk order — the flat sequence is bit-identical
-    /// to [`LazyPlan::force_sequential`] for any worker count, and no
-    /// concatenation pass runs after the workers join.
-    pub(crate) fn force_pool(&self, pool: &ExecPool, fresh: &mut bool) -> Shards<T> {
+    /// Force on `pool`: the source splits into fixed-size chunks (positions
+    /// depend only on length and chunk size) and each chunk runs the fused
+    /// pass independently. Each chunk's output becomes one shard of the
+    /// result, in chunk order, so the flat sequence is the same for any
+    /// worker count and no concatenation pass runs after the workers join.
+    /// Sets `*fresh` when this call actually materialized (vs. read the
+    /// memo).
+    pub(crate) fn force(&self, pool: &ExecPool, fresh: &mut bool) -> Shards<T> {
         self.cell
             .get_or_init(|| {
                 *fresh = true;
@@ -152,17 +140,19 @@ mod tests {
         })
     }
 
+    fn force(plan: &LazyPlan<usize>, pool: &ExecPool) -> (Shards<usize>, bool) {
+        let mut fresh = false;
+        let out = plan.force(pool, &mut fresh);
+        (out, fresh)
+    }
+
     #[test]
     fn sequential_and_pool_forcing_agree() {
-        let seq = {
-            let mut fresh = false;
-            doubler(10_000).force_sequential(&mut fresh)
-        };
-        let pooled = {
-            let mut fresh = false;
-            let pool = ExecPool::new(4).unwrap().with_chunk_size(512);
-            doubler(10_000).force_pool(&pool, &mut fresh)
-        };
+        // The reference is the flat loop: one chunk spanning the source.
+        let flat = ExecPool::sequential().with_chunk_size(10_000);
+        let (seq, _) = force(&doubler(10_000), &flat);
+        let pool = ExecPool::new(4).unwrap().with_chunk_size(512);
+        let (pooled, _) = force(&doubler(10_000), &pool);
         // Physical layouts differ (one shard vs one per chunk); the flat
         // sequences are bit-identical.
         assert!(pooled.shard_count() > seq.shard_count());
@@ -175,11 +165,10 @@ mod tests {
     #[test]
     fn forcing_memoizes() {
         let plan = doubler(100);
-        let mut first = false;
-        let a = plan.force_sequential(&mut first);
+        let pool = ExecPool::sequential();
+        let (a, first) = force(&plan, &pool);
         assert!(first, "first force must materialize");
-        let mut second = false;
-        let b = plan.force_sequential(&mut second);
+        let (b, second) = force(&plan, &pool);
         assert!(!second, "second force must hit the memo");
         assert!(a.ptr_eq(&b));
     }
@@ -188,8 +177,7 @@ mod tests {
     fn view_switches_to_the_memo_after_forcing() {
         let plan = doubler(100);
         assert!(matches!(plan.view(), View::Chain(_, 100, 2)));
-        let mut fresh = false;
-        plan.force_sequential(&mut fresh);
+        force(&plan, &ExecPool::sequential());
         match plan.view() {
             View::Source(buf) => assert_eq!(buf.len(), 34),
             View::Chain(..) => panic!("forced plan should expose its memo"),

@@ -25,7 +25,7 @@
 //! and a private deterministic noise substream per session.
 
 use crate::budget::Accountant;
-use crate::exec::ExecCtx;
+use crate::exec::{ExecCtx, ExecPool};
 use crate::kernel::model::RootBudget;
 use crate::queryable::Queryable;
 use crate::rng::NoiseSource;
@@ -46,7 +46,7 @@ pub struct SessionManager<T> {
     global: Accountant,
     per_analyst_cap: f64,
     analysts: Mutex<HashMap<Box<str>, AnalystBook>>,
-    ctx: ExecCtx,
+    pool: ExecPool,
     next_session: AtomicU64,
     open: Mutex<HashMap<u64, (Arc<str>, Accountant)>>,
 }
@@ -200,16 +200,17 @@ impl<T> SessionManager<T> {
             global: Accountant::new(global_budget),
             per_analyst_cap,
             analysts: Mutex::new(HashMap::new()),
-            ctx: ExecCtx::Sequential,
+            pool: ExecPool::sequential(),
             next_session: AtomicU64::new(0),
             open: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Set the execution context sessions inherit (e.g. a shared worker
-    /// pool). Builder-style; applies to sessions opened afterwards.
+    /// Set the pool sessions inherit (e.g. a shared worker pool; by
+    /// default [`ExecPool::sequential`]). Builder-style; applies to
+    /// sessions opened afterwards.
     pub fn with_ctx(mut self, ctx: ExecCtx) -> Self {
-        self.ctx = ctx;
+        self.pool = ctx.into_pool();
         self
     }
 
@@ -284,7 +285,7 @@ impl<T> SessionManager<T> {
     pub fn session(&self, analyst: &str) -> Queryable<T> {
         let personal = self.analyst_budget(analyst);
         Queryable::new_shared_shards(self.shards.clone(), &[&self.global, &personal], &self.noise)
-            .with_ctx(self.ctx.clone())
+            .with_ctx(ExecCtx::pool(&self.pool))
     }
 
     /// Open a numbered, closable session for `analyst`.
@@ -310,7 +311,7 @@ impl<T> SessionManager<T> {
             &[&acct, &personal, &self.global],
             &noise,
         )
-        .with_ctx(self.ctx.clone())
+        .with_ctx(ExecCtx::pool(&self.pool))
         .with_label(&format!("{analyst}#{id}"));
         self.open.lock().insert(id, (name.clone(), acct.clone()));
         self.global.sink_handle().emit(|| {

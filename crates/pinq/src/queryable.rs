@@ -49,6 +49,7 @@ use dpnet_obs::span;
 use dpnet_obs::{
     now_ns, AggregateEvent, Event, EventSink, ExecEvent, Outcome, PlanEvent, TransformEvent,
 };
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
@@ -99,6 +100,9 @@ fn key_index<K: Eq + Hash>(keys: &[K]) -> Result<HashMap<&K, usize, BuildHasherD
     }
     Ok(index_of)
 }
+
+/// Marks a record whose key is not in a partition's key list.
+const NO_PART: u32 = u32::MAX;
 
 /// The records behind a queryable: a materialized (sharded) buffer, or a
 /// lazy fused plan that will produce one when forced.
@@ -195,9 +199,9 @@ impl Observed {
 /// `partition`, …) forces it, or on an explicit
 /// [`Queryable::collect_protected`]. Stability and budget bookkeeping
 /// happen at operator *declaration*, so laziness never changes what is
-/// charged or released. The [`ExecCtx`] bound with
-/// [`Queryable::with_ctx`] decides where forced plans and chunked
-/// aggregation kernels run.
+/// charged or released. Forced plans and chunked aggregation kernels run
+/// on the queryable's [`ExecPool`]: [`ExecPool::sequential`] (the calling
+/// thread) unless [`Queryable::with_ctx`] binds another.
 pub struct Queryable<T> {
     data: Data<T>,
     charge: Arc<ChargeNode>,
@@ -209,8 +213,8 @@ pub struct Queryable<T> {
     /// Emission point for structured events; shared with the accountant the
     /// dataset was created under.
     sink: SinkHandle,
-    /// Execution context: where plans materialize and chunked kernels run.
-    ctx: ExecCtx,
+    /// Where plans materialize and chunked kernels run.
+    pool: ExecPool,
     /// Operator lineage back to the source(s) — pure plan metadata for
     /// [`Queryable::explain`]; never holds data.
     lineage: Arc<OpNode>,
@@ -218,16 +222,8 @@ pub struct Queryable<T> {
 
 impl<T> Clone for Queryable<T> {
     fn clone(&self) -> Self {
-        Queryable {
-            data: self.data.clone(),
-            charge: self.charge.clone(),
-            noise: self.noise.clone(),
-            stability: self.stability,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: self.lineage.clone(),
-        }
+        let (charge, lineage) = (self.charge.clone(), self.lineage.clone());
+        self.rewrap(self.data.clone(), charge, self.stability, lineage)
     }
 }
 
@@ -279,7 +275,7 @@ impl<T> Queryable<T> {
             stability: 1.0,
             label: None,
             sink: budget.sink_handle().clone(),
-            ctx: ExecCtx::Sequential,
+            pool: ExecPool::sequential(),
             lineage: OpNode::source(None),
         }
     }
@@ -322,22 +318,36 @@ impl<T> Queryable<T> {
             // views belong to one owner session, and that owner binds the
             // sink on the budget they hand out first.
             sink: budgets[0].sink_handle().clone(),
-            ctx: ExecCtx::Sequential,
+            pool: ExecPool::sequential(),
             lineage: OpNode::source(Some(format!("{} budgets", budgets.len()))),
         }
     }
 
-    fn derive<U>(&self, op: &'static str, records: Vec<U>, stability: f64) -> Queryable<U> {
+    /// A queryable over `data` sharing this one's noise, label, sink and
+    /// pool: every derived queryable is built here.
+    fn rewrap<U>(
+        &self,
+        data: Data<U>,
+        charge: Arc<ChargeNode>,
+        stability: f64,
+        lineage: Arc<OpNode>,
+    ) -> Queryable<U> {
         Queryable {
-            data: Data::Ready(Shards::from_vec(records)),
-            charge: self.charge.clone(),
+            data,
+            charge,
             noise: self.noise.clone(),
             stability,
             label: self.label.clone(),
             sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::derived(op, stability, false, None, self.lineage.clone()),
+            pool: self.pool.clone(),
+            lineage,
         }
+    }
+
+    fn derive<U>(&self, op: &'static str, records: Vec<U>, stability: f64) -> Queryable<U> {
+        let lineage = OpNode::derived(op, stability, false, None, self.lineage.clone());
+        let data = Data::Ready(Shards::from_vec(records));
+        self.rewrap(data, self.charge.clone(), stability, lineage)
     }
 
     fn derive_lazy<U>(
@@ -347,16 +357,9 @@ impl<T> Queryable<T> {
         plan: LazyPlan<U>,
         stability: f64,
     ) -> Queryable<U> {
-        Queryable {
-            data: Data::Lazy(Arc::new(plan)),
-            charge: self.charge.clone(),
-            noise: self.noise.clone(),
-            stability,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::derived(op, stability, true, detail, self.lineage.clone()),
-        }
+        let lineage = OpNode::derived(op, stability, true, detail, self.lineage.clone());
+        let data = Data::Lazy(Arc::new(plan));
+        self.rewrap(data, self.charge.clone(), stability, lineage)
     }
 
     /// The source buffer or fused chain a downstream transform composes
@@ -372,9 +375,9 @@ impl<T> Queryable<T> {
     /// Force materialization (memoized) and return the shared buffer.
     ///
     /// Emits one [`PlanEvent`] per *actual* materialization; reads of the
-    /// memo are free and silent. Under [`ExecCtx::Pool`] each fixed-size
-    /// source chunk's output becomes one shard of the buffer (see
-    /// [`LazyPlan::force_pool`]) — no concatenation barrier.
+    /// memo are free and silent. Each fixed-size source chunk's output
+    /// becomes one shard of the buffer (see [`LazyPlan::force`]) — no
+    /// concatenation barrier.
     fn records(&self) -> Shards<T>
     where
         T: Send + Sync,
@@ -383,13 +386,10 @@ impl<T> Queryable<T> {
             Data::Ready(a) => a.clone(),
             Data::Lazy(plan) => {
                 let obs = Observed::open(&self.sink, "plan/materialize", |name, timed| {
-                    span::enter_with(name, timed, || self.ctx.mode().to_string())
+                    span::enter_with(name, timed, || format!("workers={}", self.pool.workers()))
                 });
                 let mut fresh = false;
-                let out = match &self.ctx {
-                    ExecCtx::Sequential => plan.force_sequential(&mut fresh),
-                    ExecCtx::Pool(pool) => plan.force_pool(pool, &mut fresh),
-                };
+                let out = plan.force(&self.pool, &mut fresh);
                 if fresh {
                     obs.span.set_records(out.len() as u64);
                     self.emit_plan(&obs, plan.fused(), plan.source_len(), out.len());
@@ -416,43 +416,25 @@ impl<T> Queryable<T> {
 
     /// Number of records the queryable holds, counted by streaming the
     /// fused chain when nothing has materialized — the fused form of the
-    /// count aggregations. Deterministic in both modes (chunk counts are
-    /// integers, summed in chunk order).
+    /// count aggregations. Chunk counts are integers, summed in chunk
+    /// order.
     fn stream_count(&self, obs: &Observed) -> usize
     where
         T: Send + Sync,
     {
         match self.stream() {
             (StreamSource::Buf(s), _) => s.len(),
-            (StreamSource::Chain(run), domain) => match &self.ctx {
-                ExecCtx::Sequential => {
+            (StreamSource::Chain(run), domain) => {
+                let ranges = self.pool.chunks(domain);
+                let counts: Vec<usize> = self.pool.run(&ranges, |_, r| {
                     let mut n = 0usize;
-                    run(0..domain, &mut |_| n += 1);
-                    self.emit_exec(obs, 1, 1);
+                    run(r.clone(), &mut |_| n += 1);
                     n
-                }
-                ExecCtx::Pool(pool) => {
-                    let ranges = pool.chunks(domain);
-                    let counts: Vec<usize> = pool.run(&ranges, |_, r| {
-                        let mut n = 0usize;
-                        run(r.clone(), &mut |_| n += 1);
-                        n
-                    });
-                    self.emit_exec(obs, pool.workers(), ranges.len());
-                    counts.into_iter().sum()
-                }
-            },
+                });
+                self.emit_exec(obs, self.pool.workers(), ranges.len());
+                counts.into_iter().sum()
+            }
         }
-    }
-
-    /// The pool a kernel with a single code path runs on: under
-    /// [`ExecCtx::Sequential`], the one-worker pool, whose runs stay on the
-    /// calling thread.
-    fn exec_pool(&self) -> ExecPool {
-        self.ctx
-            .as_pool()
-            .cloned()
-            .unwrap_or_else(ExecPool::sequential)
     }
 
     /// Current sensitivity multiplier relative to the source dataset.
@@ -460,23 +442,15 @@ impl<T> Queryable<T> {
         self.stability
     }
 
-    /// Bind an execution context: where this queryable's lazy plans
-    /// materialize and where chunked aggregation kernels run. The context
-    /// is inherited by every derived queryable.
+    /// Bind the pool `ctx` names: where this queryable's lazy plans
+    /// materialize and where chunked aggregation kernels run. Every
+    /// derived queryable inherits it.
     ///
-    /// Privacy accounting is identical in both modes. Released values are
-    /// identical too, except that chunked floating-point reductions
-    /// (`noisy_sum*`) under [`ExecCtx::Pool`] may differ from the flat
-    /// sequential sum in the last ulp — while staying bit-identical across
-    /// *any* pool worker count (see [`ExecCtx`]).
+    /// Releases and ε charges are bit-identical for any worker count at a
+    /// fixed chunk size: the pool only decides which thread runs a chunk.
     pub fn with_ctx(mut self, ctx: ExecCtx) -> Self {
-        self.ctx = ctx;
+        self.pool = ctx.into_pool();
         self
-    }
-
-    /// The execution context bound with [`Queryable::with_ctx`].
-    pub fn ctx(&self) -> &ExecCtx {
-        &self.ctx
     }
 
     /// Force the pending fused plan (if any) and return a handle over the
@@ -487,16 +461,8 @@ impl<T> Queryable<T> {
     where
         T: Send + Sync,
     {
-        Queryable {
-            data: Data::Ready(self.records()),
-            charge: self.charge.clone(),
-            noise: self.noise.clone(),
-            stability: self.stability,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: self.lineage.clone(),
-        }
+        let (charge, lineage) = (self.charge.clone(), self.lineage.clone());
+        self.rewrap(Data::Ready(self.records()), charge, self.stability, lineage)
     }
 
     /// Name this pipeline stage. The label rides along into every ledger
@@ -626,8 +592,7 @@ impl<T> Queryable<T> {
                 materialization: MATERIALIZATIONS
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
                 fused_stages: fused as u64,
-                mode: self.ctx.mode(),
-                workers: self.ctx.workers() as u64,
+                workers: self.pool.workers() as u64,
                 wall_ns,
                 at_ns,
                 #[cfg(feature = "trusted-owner")]
@@ -799,9 +764,9 @@ impl<T> Queryable<T> {
     /// removing one source record can change two output records (the group
     /// it leaves and the group it joins, in the multiset-difference sense).
     ///
-    /// A barrier: forces the pending fused plan. Under [`ExecCtx::Pool`]
-    /// the key hashing and the per-part grouping run on the pool; the
-    /// groups are the same for any worker count.
+    /// A barrier: forces the pending fused plan. The key hashing and the
+    /// per-part grouping run on the queryable's pool; the groups are the
+    /// same for any worker count.
     pub fn group_by<K>(&self, key: impl Fn(&T) -> K + Send + Sync) -> Queryable<Group<K, T>>
     where
         K: Eq + Hash + Send,
@@ -810,7 +775,7 @@ impl<T> Queryable<T> {
         let prof = self.agg_span("group_by", false);
         let records = self.records();
         prof.set_records(records.len() as u64);
-        let out = group::group_records(&self.exec_pool(), &records, &key);
+        let out = group::group_records(&self.pool, &records, &key);
         let n_out = out.len();
         let q = self.derive("group_by", out, self.stability * 2.0);
         self.emit_transform("group_by", q.stability, n_out);
@@ -867,7 +832,7 @@ impl<T> Queryable<T> {
         let left_records = self.records();
         let right_records = other.records();
         prof.set_records((left_records.len() + right_records.len()) as u64);
-        let (lefts, index) = group::group_and_index(&self.exec_pool(), &left_records, &left_key);
+        let (lefts, index) = group::group_and_index(&self.pool, &left_records, &left_key);
         // Each right record goes straight into its left group's list;
         // records whose key has no left group are never cloned.
         let mut rights: Vec<Vec<U>> = (0..lefts.len()).map(|_| Vec::new()).collect();
@@ -891,25 +856,24 @@ impl<T> Queryable<T> {
             })
             .collect();
         let n_out = out.len();
-        let q = Queryable {
-            data: Data::Ready(Shards::from_vec(out)),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
-            noise: self.noise.clone(),
-            stability: 1.0,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::combined("join", self.lineage.clone(), other.lineage.clone()),
-        };
+        let q = self.combined("join", other, Shards::from_vec(out));
         self.emit_transform("join", q.stability, n_out);
         q
     }
 
-    /// A charge node billing both this queryable's lineage and another's,
-    /// each scaled by its accumulated stability (`concat`, `join`,
-    /// `intersect` all reset stability to 1 against this combined node).
-    fn combined_charge(&self, other: Arc<ChargeNode>, other_stability: f64) -> Arc<ChargeNode> {
-        kernel::scaled_pair(&self.charge, self.stability, &other, other_stability)
+    /// The output of a binary operator (`concat`, `join`, `intersect`): a
+    /// charge node billing both inputs' lineages, each scaled by its
+    /// accumulated stability, and stability reset to 1 against it.
+    fn combined<U, V>(
+        &self,
+        op: &'static str,
+        other: &Queryable<U>,
+        records: Shards<V>,
+    ) -> Queryable<V> {
+        let charge =
+            kernel::scaled_pair(&self.charge, self.stability, &other.charge, other.stability);
+        let lineage = OpNode::combined(op, self.lineage.clone(), other.lineage.clone());
+        self.rewrap(Data::Ready(records), charge, 1.0, lineage)
     }
 
     /// Concatenate two protected datasets (PINQ `Concat`). No sensitivity
@@ -933,16 +897,7 @@ impl<T> Queryable<T> {
             left.concat(&right)
         };
         let n_out = records.len();
-        let q = Queryable {
-            data: Data::Ready(records),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
-            noise: self.noise.clone(),
-            stability: 1.0,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::combined("concat", self.lineage.clone(), other.lineage.clone()),
-        };
+        let q = self.combined("concat", other, records);
         self.emit_transform("concat", q.stability, n_out);
         q
     }
@@ -963,16 +918,7 @@ impl<T> Queryable<T> {
             .cloned()
             .collect();
         let n_out = out.len();
-        let q = Queryable {
-            data: Data::Ready(Shards::from_vec(out)),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
-            noise: self.noise.clone(),
-            stability: 1.0,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::combined("intersect", self.lineage.clone(), other.lineage.clone()),
-        };
+        let q = self.combined("intersect", other, Shards::from_vec(out));
         self.emit_transform("intersect", q.stability, n_out);
         q
     }
@@ -985,11 +931,11 @@ impl<T> Queryable<T> {
     /// not the sum — parallel composition. Partitioning packets by port and
     /// analyzing every port costs the same as analyzing one port.
     ///
-    /// A barrier: forces the pending fused plan. Under [`ExecCtx::Pool`]
-    /// the bucketing pass runs chunked on the pool — each fixed-size chunk
-    /// fills per-chunk local buckets, concatenated in chunk order — so
-    /// every part holds its records in the sequential order for any worker
-    /// count.
+    /// A barrier: forces the pending fused plan. Each fixed-size chunk of
+    /// records computes its records' part indices on the queryable's pool,
+    /// into one caller-owned array; the calling thread then opens each
+    /// part at its exact size and fills the parts in record order, so
+    /// every part holds its records in input order for any worker count.
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key:
     /// buckets are looked up by key, so a duplicate would silently route
@@ -1006,43 +952,35 @@ impl<T> Queryable<T> {
     {
         let obs = self.observe("partition");
         let index_of = key_index(keys)?;
+        assert!(keys.len() < NO_PART as usize, "too many partition keys");
         let records = self.records();
         obs.span.set_records(records.len() as u64);
-        let parts: Vec<Vec<T>> = match &self.ctx {
-            ExecCtx::Sequential => {
-                let mut parts: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
-                for r in records.iter() {
-                    if let Some(&i) = index_of.get(&key_fn(r)) {
-                        parts[i].push(r.clone());
-                    }
+        let chunk = self.pool.chunk_size();
+        let mut part_of = vec![NO_PART; records.len()];
+        let tasks: Vec<Mutex<&mut [u32]>> = part_of.chunks_mut(chunk).map(Mutex::new).collect();
+        self.pool.run(&tasks, |t, task| {
+            let mut task = task.lock();
+            let range = t * chunk..t * chunk + task.len();
+            let mut slots = task.iter_mut();
+            records.for_range(range, &mut |rec| {
+                let slot = slots.next().expect("one part slot per record");
+                if let Some(&i) = index_of.get(&key_fn(rec)) {
+                    *slot = i as u32;
                 }
-                // Sequential runs are still runs: one kernel event with
-                // `workers: 1`, so event streams cover both modes.
-                self.emit_exec(&obs, 1, 1);
-                parts
+            });
+        });
+        self.emit_exec(&obs, self.pool.workers(), tasks.len());
+        drop(tasks);
+        let mut sizes = vec![0usize; keys.len()];
+        for &i in part_of.iter().filter(|&&i| i != NO_PART) {
+            sizes[i as usize] += 1;
+        }
+        let mut parts: Vec<Vec<T>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (r, &i) in records.iter().zip(&part_of) {
+            if i != NO_PART {
+                parts[i as usize].push(r.clone());
             }
-            ExecCtx::Pool(pool) => {
-                let ranges = pool.chunks(records.len());
-                let n_tasks = ranges.len();
-                let locals: Vec<Vec<Vec<T>>> = pool.run(&ranges, |_, r| {
-                    let mut buckets: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
-                    records.for_range(r.clone(), &mut |rec| {
-                        if let Some(&i) = index_of.get(&key_fn(rec)) {
-                            buckets[i].push(rec.clone());
-                        }
-                    });
-                    buckets
-                });
-                self.emit_exec(&obs, pool.workers(), n_tasks);
-                let mut parts: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
-                for local in locals {
-                    for (part, mut bucket) in parts.iter_mut().zip(local) {
-                        part.append(&mut bucket);
-                    }
-                }
-                parts
-            }
-        };
+        }
         let out = self.wrap_parts(parts);
         // One event for the whole partition; the part count is the (public)
         // key-list length, not a record count.
@@ -1059,21 +997,12 @@ impl<T> Queryable<T> {
         parts
             .into_iter()
             .enumerate()
-            .map(|(index, records)| Queryable {
-                data: Data::Ready(Shards::from_vec(records)),
-                charge: Arc::new(ledger.part(index)),
-                noise: self.noise.clone(),
-                stability: 1.0,
-                label: self.label.clone(),
-                sink: self.sink.clone(),
-                ctx: self.ctx.clone(),
-                lineage: OpNode::derived(
-                    "partition",
-                    1.0,
-                    false,
-                    Some(format!("part[{index}] of {n_parts}")),
-                    self.lineage.clone(),
-                ),
+            .map(|(index, records)| {
+                let detail = Some(format!("part[{index}] of {n_parts}"));
+                let lineage =
+                    OpNode::derived("partition", 1.0, false, detail, self.lineage.clone());
+                let data = Data::Ready(Shards::from_vec(records));
+                self.rewrap(data, Arc::new(ledger.part(index)), 1.0, lineage)
             })
             .collect()
     }
@@ -1096,8 +1025,8 @@ impl<T> Queryable<T> {
     ///   lock — the same draws the unbatched form takes;
     /// - only a key histogram is computed (streamed over the fused chain
     ///   when nothing has materialized): the per-part record buffers never
-    ///   exist. A 256-way fan-out costs one pass and 256 integers instead
-    ///   of 256 allocations;
+    ///   exist. A 256-way fan-out costs one pass and 256 integers per pool
+    ///   task instead of 256 allocations;
     /// - per-part `Aggregate` events are produced only when a sink is
     ///   bound (only then does the fan-out's span read the clock), and
     ///   then match the unbatched form's event for event (each part's wall
@@ -1121,41 +1050,38 @@ impl<T> Queryable<T> {
         if !(self.stability.is_finite() && self.stability > 0.0) {
             return Err(Error::InvalidStability(self.stability));
         }
-        // One histogram pass; integer merges in chunk order keep the counts
-        // identical for any worker count (and to the sequential pass).
+        // One histogram pass into a caller-owned matrix, one row per pool
+        // task: task `t` walks the `t`-th of `rows` equal spans of the
+        // domain, so one worker walks it whole. The counts are integers,
+        // so how the spans fall changes no count.
         let (src, domain) = self.stream();
-        let counts: Vec<usize> = match &self.ctx {
-            ExecCtx::Sequential => {
-                let mut counts = vec![0usize; keys.len()];
-                src.walk(0..domain, &mut |rec| {
-                    if let Some(&i) = index_of.get(&key_fn(rec)) {
-                        counts[i] += 1;
-                    }
-                });
-                self.emit_exec(&obs, 1, 1);
-                counts
-            }
-            ExecCtx::Pool(pool) => {
-                let ranges = pool.chunks(domain);
-                let locals: Vec<Vec<usize>> = pool.run(&ranges, |_, rg| {
-                    let mut counts = vec![0usize; keys.len()];
-                    src.walk(rg.clone(), &mut |rec| {
-                        if let Some(&i) = index_of.get(&key_fn(rec)) {
-                            counts[i] += 1;
-                        }
-                    });
-                    counts
-                });
-                self.emit_exec(&obs, pool.workers(), ranges.len());
-                let mut counts = vec![0usize; keys.len()];
-                for local in locals {
-                    for (c, l) in counts.iter_mut().zip(local) {
-                        *c += l;
-                    }
+        let chunks = domain.div_ceil(self.pool.chunk_size());
+        let k = keys.len();
+        let rows = self.pool.workers().min(chunks);
+        let mut hist = vec![0usize; rows.max(1) * k];
+        let tasks: Vec<Mutex<&mut [usize]>> = hist
+            .chunks_mut(k.max(1))
+            .take(rows)
+            .map(Mutex::new)
+            .collect();
+        self.pool.run(&tasks, |t, row| {
+            let mut row = row.lock();
+            src.walk(t * domain / rows..(t + 1) * domain / rows, &mut |rec| {
+                if let Some(&i) = index_of.get(&key_fn(rec)) {
+                    row[i] += 1;
                 }
-                counts
+            });
+        });
+        self.emit_exec(&obs, self.pool.workers(), chunks);
+        drop(tasks);
+        let (counts, rest) = hist.split_at_mut(k);
+        for row in rest.chunks_exact(k.max(1)) {
+            for (c, n) in counts.iter_mut().zip(row) {
+                *c += n;
             }
-        };
+        }
+        hist.truncate(k);
+        let counts = hist;
         obs.span.set_records(counts.iter().sum::<usize>() as u64);
         // The ledger the unbatched form builds in `wrap_parts`: parts
         // charge through one shared ledger scaled by this queryable's
@@ -1208,12 +1134,10 @@ impl<T> Queryable<T> {
     /// Each part draws its noise from a private substream (see
     /// [`NoiseSource::substream`]), one per key, derived on the calling
     /// thread in part order (also when the call is then refused). `f` runs
-    /// on this queryable's [`ExecCtx`]: on the pool under
-    /// [`ExecCtx::Pool`], on the calling thread under
-    /// [`ExecCtx::Sequential`]. Workers never race on a shared generator,
-    /// so the released values at a fixed seed are identical in both modes
-    /// and for any worker count. Budget refusals stay per part: `f`
-    /// returns them as values, and every part runs.
+    /// on this queryable's pool. Workers never race on a shared generator,
+    /// so the released values at a fixed seed are identical for any worker
+    /// count. Budget refusals stay per part: `f` returns them as values,
+    /// and every part runs.
     ///
     /// ```
     /// use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
@@ -1267,9 +1191,8 @@ impl<T> Queryable<T> {
         for (part, noise) in parts.iter_mut().zip(streams) {
             part.noise = noise;
         }
-        let pool = self.exec_pool();
-        let out = pool.run(&parts, |_, part| f(part));
-        self.emit_exec(&obs, pool.workers(), parts.len());
+        let out = self.pool.run(&parts, |_, part| f(part));
+        self.emit_exec(&obs, self.pool.workers(), parts.len());
         Ok(out)
     }
 
@@ -1282,8 +1205,7 @@ impl<T> Queryable<T> {
     /// Fused: an unforced pipeline is *streamed*, counting emissions of the
     /// fused pass without allocating (or memoizing) an output buffer. The
     /// count is an integer either way, so the release is bit-identical to
-    /// counting a materialized buffer, in both execution modes and for any
-    /// worker count.
+    /// counting a materialized buffer, for any worker count.
     pub fn noisy_count(&self, eps: f64) -> Result<f64>
     where
         T: Send + Sync,
@@ -1329,15 +1251,13 @@ impl<T> Queryable<T> {
     /// Fused: an unforced pipeline streams through the clamp-and-sum fold
     /// without materializing an output buffer.
     ///
-    /// Under [`ExecCtx::Sequential`] the clamped values sum flat, in record
-    /// order. Under [`ExecCtx::Pool`] partial sums are computed per
-    /// fixed-size chunk concurrently, combined in chunk order, and a single
-    /// Laplace draw is taken on the calling thread — identical budget
-    /// charge and noise stream, bit-identical for any worker count, but
-    /// possibly an ulp away from the flat sequential sum because the
-    /// chunked sum associates additions at chunk boundaries. (For a fused
-    /// pipeline the chunks tile the *source*, so a pooled sum taken before
-    /// forcing may likewise sit an ulp from one taken after.)
+    /// Partial sums are computed per fixed-size chunk on the queryable's
+    /// pool, combined in chunk order, and a single Laplace draw is taken on
+    /// the calling thread — bit-identical for any worker count at a fixed
+    /// chunk size. Chunk boundaries associate the additions, so a
+    /// different chunk size may move the sum by ulps. (For a fused pipeline
+    /// the chunks tile the *source*, so a sum taken before forcing may
+    /// likewise sit ulps from one taken after.)
     pub fn noisy_sum_clamped(
         &self,
         eps: f64,
@@ -1358,33 +1278,19 @@ impl<T> Queryable<T> {
             }
             self.pay(eps, "noisy_sum")?;
             let (src, domain) = self.stream();
-            let total = match &self.ctx {
-                ExecCtx::Sequential => {
-                    let mut total = 0.0;
-                    src.walk(0..domain, &mut |rec| {
-                        total += aggregates::clamp(f(rec), -bound, bound);
-                        n_records += 1;
-                    });
-                    // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec(&obs, 1, 1);
-                    total
-                }
-                ExecCtx::Pool(pool) => {
-                    let ranges = pool.chunks(domain);
-                    let partials: Vec<(f64, usize)> = pool.run(&ranges, |_, rg| {
-                        let mut s = 0.0;
-                        let mut n = 0usize;
-                        src.walk(rg.clone(), &mut |rec| {
-                            s += aggregates::clamp(f(rec), -bound, bound);
-                            n += 1;
-                        });
-                        (s, n)
-                    });
-                    self.emit_exec(&obs, pool.workers(), ranges.len());
-                    n_records = partials.iter().map(|&(_, n)| n).sum();
-                    partials.iter().map(|&(s, _)| s).sum::<f64>()
-                }
-            };
+            let ranges = self.pool.chunks(domain);
+            let partials: Vec<(f64, usize)> = self.pool.run(&ranges, |_, rg| {
+                let mut s = 0.0;
+                let mut n = 0usize;
+                src.walk(rg.clone(), &mut |rec| {
+                    s += aggregates::clamp(f(rec), -bound, bound);
+                    n += 1;
+                });
+                (s, n)
+            });
+            self.emit_exec(&obs, self.pool.workers(), ranges.len());
+            n_records = partials.iter().map(|&(_, n)| n).sum();
+            let total = partials.iter().map(|&(s, _)| s).sum::<f64>();
             obs.span.set_records(n_records as u64);
             Ok(total + crate::mechanisms::laplace_noise(&self.noise, bound / eps))
         })();
@@ -1511,10 +1417,9 @@ impl<T> Queryable<T> {
     /// candidate scores (and the released value at a fixed seed) are
     /// identical whether or not the pipeline materialized first.
     ///
-    /// Under [`ExecCtx::Pool`] the projection runs concurrently over
-    /// fixed-size chunks, concatenated in chunk order, and the mechanism
-    /// then runs on the calling thread — identical to the sequential path
-    /// for any worker count.
+    /// The projection runs on the queryable's pool over fixed-size chunks,
+    /// concatenated in chunk order, and the mechanism then runs on the
+    /// calling thread — identical for any worker count.
     pub fn noisy_median(
         &self,
         eps: f64,
@@ -1537,29 +1442,14 @@ impl<T> Queryable<T> {
             }
             self.pay(eps, "noisy_median")?;
             let (src, domain) = self.stream();
-            let values: Vec<f64> = match &self.ctx {
-                ExecCtx::Sequential => {
-                    let mut values = Vec::new();
-                    src.walk(0..domain, &mut |rec| values.push(f(rec)));
-                    // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec(&obs, 1, 1);
-                    values
-                }
-                ExecCtx::Pool(pool) => {
-                    let ranges = pool.chunks(domain);
-                    let chunks: Vec<Vec<f64>> = pool.run(&ranges, |_, rg| {
-                        let mut v = Vec::new();
-                        src.walk(rg.clone(), &mut |rec| v.push(f(rec)));
-                        v
-                    });
-                    self.emit_exec(&obs, pool.workers(), ranges.len());
-                    let mut values = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-                    for mut c in chunks {
-                        values.append(&mut c);
-                    }
-                    values
-                }
-            };
+            let ranges = self.pool.chunks(domain);
+            let chunks: Vec<Vec<f64>> = self.pool.run(&ranges, |_, rg| {
+                let mut v = Vec::new();
+                src.walk(rg.clone(), &mut |rec| v.push(f(rec)));
+                v
+            });
+            self.emit_exec(&obs, self.pool.workers(), ranges.len());
+            let values = chunks.concat();
             n_records = values.len();
             obs.span.set_records(n_records as u64);
             aggregates::noisy_median(&self.noise, &values, lo, hi, buckets, eps)
@@ -2209,7 +2099,8 @@ mod tests {
                 .unwrap();
             (c.to_bits(), m.to_bits(), acct.spent())
         };
-        let seq = run(ExecCtx::Sequential);
+        // The reference is the flat loop: one chunk spanning the input.
+        let seq = run(ExecCtx::pool(&ExecPool::sequential().with_chunk_size(5000)));
         let pool = ExecPool::new(4).unwrap().with_chunk_size(256);
         assert_eq!(run(ExecCtx::pool(&pool)), seq);
     }

@@ -85,10 +85,36 @@ fn kernel_released_values_are_identical_for_workers_1_2_8() {
     assert_eq!(run(8), baseline, "workers=8 diverged");
 }
 
-/// The execution contexts a `partition_map` must agree across: the
-/// calling thread, and pools of 1, 2 and 8 workers.
+/// A queryable with no pool bound runs on the one-worker pool, so its
+/// clamped sum associates per chunk like every other pool's: 20,000 × 0.1
+/// spans three default chunks, and 0.1 is not dyadic, so a flat sum would
+/// land ulps away from the chunked one.
+#[test]
+fn unpooled_noisy_sum_releases_what_pools_release() {
+    let run = |pool: Option<ExecPool>| {
+        let acct = Accountant::new(10.0);
+        let q = Queryable::new(vec![0.1f64; 20_000], &acct, &NoiseSource::seeded(0x5EED));
+        let q = match pool {
+            Some(p) => q.with_ctx(ExecCtx::pool(&p)),
+            None => q,
+        };
+        let sum = q.noisy_sum_clamped(0.5, 1.0, |&v| v).unwrap();
+        (sum.to_bits(), acct.spent())
+    };
+    let unpooled = run(None);
+    for workers in [2, 8] {
+        let pooled = run(Some(ExecPool::new(workers).unwrap()));
+        assert_eq!(pooled, unpooled, "workers={workers} diverged");
+    }
+}
+
+/// The execution contexts a `partition_map` must agree across: the flat
+/// loop (one worker, one chunk spanning the input), and pools of 1, 2 and
+/// 8 workers.
 fn contexts() -> Vec<ExecCtx> {
-    let mut out = vec![ExecCtx::Sequential];
+    let mut out = vec![ExecCtx::pool(
+        &ExecPool::sequential().with_chunk_size(usize::MAX),
+    )];
     for workers in [1, 2, 8] {
         out.push(ExecCtx::pool(
             &ExecPool::new(workers).unwrap().with_chunk_size(64),
@@ -100,8 +126,8 @@ fn contexts() -> Vec<ExecCtx> {
 #[test]
 fn partition_map_preserves_part_order() {
     // Value `k` occurs `10k` times; keys listed in reverse, so results in
-    // key order read 90, 80, …, 0 (exact sizes via a huge ε) on the
-    // calling thread and on every pool, one worker included.
+    // key order read 90, 80, …, 0 (exact sizes via a huge ε) in the flat
+    // loop and on every pool.
     let data: Vec<u32> = (0..10u32).flat_map(|k| vec![k; 10 * k as usize]).collect();
     let keys: Vec<u32> = (0..10).rev().collect();
     let expected: Vec<usize> = keys.iter().map(|&k| 10 * k as usize).collect();
@@ -122,8 +148,8 @@ fn partition_map_preserves_part_order() {
 #[test]
 fn partition_map_releases_are_identical_for_any_worker_count() {
     // The core determinism contract: a fixed seed fixes every released
-    // value, whether the parts are measured on the calling thread or by
-    // any number of workers.
+    // value, whether the parts are measured by the flat loop or by any
+    // number of workers.
     let run = |ctx: ExecCtx| -> (Vec<u64>, f64) {
         let (acct, q) = protect(10_000, 1e12, 0xD5);
         let keys: Vec<u32> = (0..16).collect();

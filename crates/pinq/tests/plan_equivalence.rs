@@ -5,19 +5,27 @@
 //! `select_many(bound)` × `filter` × `concat` — the lazy plan must release
 //! **bit-identical** values, charge an **identical** ε, and report an
 //! **identical** stability, whether the pipeline stays lazy or is forced
-//! after every operator with `collect_protected`, and whether it is forced
-//! sequentially or on a worker pool of 1, 2 or 8 workers. Stability and
-//! charge bookkeeping happen at operator *declaration*, so laziness may
-//! never shift what is charged — only when record buffers exist.
+//! after every operator with `collect_protected`, and whether it runs as
+//! the flat loop (one worker, one chunk) or on a worker pool of 1, 2 or 8
+//! workers. Stability and charge bookkeeping happen at operator
+//! *declaration*, so laziness may never shift what is charged — only when
+//! record buffers exist.
 //!
-//! The grouping barriers (`group_by`, `join`) are pinned to a naive
-//! reference: the same groups, in first-seen key order, with members in
-//! input order, for any execution context and whether or not their input
-//! was forced first.
+//! The grouping barriers (`group_by`, `join`) and the partition barriers
+//! (`partition`, `partition_noisy_counts`) are pinned to naive references:
+//! the same groups, in first-seen key order, with members in input order,
+//! and the same parts, in key-list order, with members in input order —
+//! for any pool and whether or not their input was forced first.
 
 use pinq::{Accountant, ExecCtx, ExecPool, Group, JoinGroup, NoiseSource, Queryable};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The flat loop every pool must agree with: one worker, and one chunk
+/// spanning any input these tests build.
+fn flat() -> ExecCtx {
+    ExecCtx::pool(&ExecPool::sequential().with_chunk_size(usize::MAX))
+}
 
 fn dataset(n: usize, offset: u32) -> Vec<u32> {
     (0..n as u32).map(|v| v + offset).collect()
@@ -229,9 +237,9 @@ proptest! {
         modulus in 1u32..7,
         seed in 0u64..1_000,
     ) {
-        let baseline = run_pipeline(n, bound, modulus, seed, ExecCtx::Sequential, true);
-        let lazy_seq = run_pipeline(n, bound, modulus, seed, ExecCtx::Sequential, false);
-        prop_assert_eq!(lazy_seq, baseline, "lazy sequential diverged from eager");
+        let baseline = run_pipeline(n, bound, modulus, seed, flat(), true);
+        let lazy_flat = run_pipeline(n, bound, modulus, seed, flat(), false);
+        prop_assert_eq!(lazy_flat, baseline, "lazy flat loop diverged from eager");
         for workers in [1usize, 2, 8] {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
             let lazy_pool = run_pipeline(n, bound, modulus, seed, ExecCtx::pool(&pool), false);
@@ -241,7 +249,7 @@ proptest! {
 
     /// Sharded ≡ flat: a source pre-sharded at any chunk size releases the
     /// same bits, charges the same ε, and reports the same stability as the
-    /// flat single-buffer source, sequentially and at workers 1/2/8.
+    /// flat single-buffer source, in the flat loop and at workers 1/2/8.
     #[test]
     fn sharded_sources_match_flat_sources_for_any_layout(
         n in 1usize..400,
@@ -250,30 +258,31 @@ proptest! {
         modulus in 1u32..7,
         seed in 0u64..1_000,
     ) {
-        let flat = run_pipeline(n, bound, modulus, seed, ExecCtx::Sequential, false);
-        let seq = run_sharded_pipeline(n, shard, bound, modulus, seed, ExecCtx::Sequential);
-        prop_assert_eq!(seq, flat, "sharded sequential diverged from flat");
+        let unsharded = run_pipeline(n, bound, modulus, seed, flat(), false);
+        let sharded = run_sharded_pipeline(n, shard, bound, modulus, seed, flat());
+        prop_assert_eq!(sharded, unsharded, "sharded flat loop diverged from flat source");
         for workers in [1usize, 2, 8] {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
             let pooled = run_sharded_pipeline(n, shard, bound, modulus, seed, ExecCtx::pool(&pool));
-            prop_assert_eq!(pooled, flat, "shard={} workers={} diverged", shard, workers);
+            prop_assert_eq!(pooled, unsharded, "shard={} workers={} diverged", shard, workers);
         }
     }
 
     /// The batched single-pass partition fan-out is indistinguishable from
     /// the classic per-part loop: bit-identical releases in key order and
     /// an identical total charge (max-of-parts through the same ledger),
-    /// sequentially and at workers 1/2/8.
+    /// in the flat loop and at workers 1/2/8. Key lists run past the pools'
+    /// 64-record chunk.
     #[test]
     fn batched_partition_counts_match_the_per_part_loop(
         n in 1usize..400,
-        k in 1u32..6,
+        k in 1u32..200,
         seed in 0u64..1_000,
     ) {
         let eps = 0.5;
-        let loop_form = run_fanout(n, k, eps, seed, ExecCtx::Sequential, false);
-        let batched = run_fanout(n, k, eps, seed, ExecCtx::Sequential, true);
-        prop_assert_eq!(&batched, &loop_form, "batched sequential diverged");
+        let loop_form = run_fanout(n, k, eps, seed, flat(), false);
+        let batched = run_fanout(n, k, eps, seed, flat(), true);
+        prop_assert_eq!(&batched, &loop_form, "batched flat loop diverged");
         for workers in [1usize, 2, 8] {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
             let pooled = run_fanout(n, k, eps, seed, ExecCtx::pool(&pool), true);
@@ -284,7 +293,7 @@ proptest! {
     /// `group_by` and `join` equal their naive references: first-seen key
     /// order, members in input order, duplicate keys gathered, and join
     /// keys present on one side only dropped. Keys overlap only partly
-    /// (left 0..6, right 3..9). Holds sequentially and on a pool whose
+    /// (left 0..6, right 3..9). Holds in the flat loop and on pools whose
     /// small chunks split the inputs across many shards, on lazy and on
     /// forced inputs.
     #[test]
@@ -304,8 +313,38 @@ proptest! {
             for forced in [false, true] {
                 prop_assert!(
                     grouping_matches_reference(&left, &right, ctx.clone(), forced),
-                    "diverged: workers={} forced={}",
-                    ctx.workers(),
+                    "diverged: {:?} forced={}",
+                    ctx,
+                    forced
+                );
+            }
+        }
+    }
+
+    /// `partition` and `partition_noisy_counts` equal their naive
+    /// reference: one part per listed key, in key-list order, holding that
+    /// key's records in input order; records whose key is not listed are
+    /// dropped. Key lists come in any order and run past the pools'
+    /// 16-record chunk. Holds in the flat loop and on every pool, on lazy
+    /// and on forced inputs.
+    #[test]
+    fn partitions_match_a_naive_reference_in_every_context(
+        records in prop::collection::vec(0u32..80, 0..120),
+        keys in prop::collection::vec(0u32..80, 0..40),
+    ) {
+        let records = tagged(&records);
+        let mut listed = Vec::new();
+        for k in keys {
+            if !listed.contains(&k) {
+                listed.push(k);
+            }
+        }
+        for ctx in grouping_contexts() {
+            for forced in [false, true] {
+                prop_assert!(
+                    partition_matches_reference(&records, &listed, ctx.clone(), forced),
+                    "diverged: {:?} forced={}",
+                    ctx,
                     forced
                 );
             }
@@ -313,10 +352,44 @@ proptest! {
     }
 }
 
-/// `Sequential`, and pools of 1, 2 and 8 workers whose 16-record chunks
+/// `partition` by definition: for each listed key, the records with that
+/// key, in input order.
+fn reference_parts(records: &[Rec], keys: &[u32]) -> Vec<Vec<Rec>> {
+    keys.iter()
+        .map(|&k| records.iter().copied().filter(|r| r.1 == k).collect())
+        .collect()
+}
+
+/// Check `partition_noisy_counts` (first, so an unforced input streams its
+/// chain) and `partition` against the reference on `records`, after
+/// dropping every fifth record.
+fn partition_matches_reference(records: &[Rec], keys: &[u32], ctx: ExecCtx, forced: bool) -> bool {
+    let acct = Accountant::new(1e15);
+    let noise = NoiseSource::seeded(5);
+    let q = Queryable::new(records.to_vec(), &acct, &noise)
+        .with_ctx(ctx)
+        .filter(kept);
+    let q = if forced { q.collect_protected() } else { q };
+    let kept_records: Vec<Rec> = records.iter().copied().filter(kept).collect();
+    let expected = reference_parts(&kept_records, keys);
+    let counts = q.partition_noisy_counts(keys, |r| r.1, EXACT).unwrap();
+    let parts = q.partition(keys, |r| r.1).unwrap();
+    counts.len() == keys.len()
+        && parts.len() == keys.len()
+        && counts
+            .iter()
+            .zip(&expected)
+            .all(|(c, e)| c.round() == e.len() as f64)
+        && parts
+            .iter()
+            .zip(&expected)
+            .all(|(p, e)| holds_exactly(p, e))
+}
+
+/// The flat loop, and pools of 1, 2 and 8 workers whose 16-record chunks
 /// split a grouping of more than 31 records into several hash parts.
 fn grouping_contexts() -> Vec<ExecCtx> {
-    let mut ctxs = vec![ExecCtx::Sequential];
+    let mut ctxs = vec![flat()];
     for workers in [1, 2, 8] {
         ctxs.push(ExecCtx::pool(
             &ExecPool::new(workers).unwrap().with_chunk_size(16),

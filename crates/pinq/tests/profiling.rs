@@ -1,6 +1,6 @@
 //! Integration tests of the span profiler against real queryables: span
 //! trees from full query pipelines, worker tracks, charge-path tagging,
-//! sequential-mode kernel events, events timed by their spans, and the
+//! one-worker kernel events, events timed by their spans, and the
 //! privacy rule end-to-end.
 
 use dpnet_obs::{
@@ -33,16 +33,16 @@ fn profiled<R>(work: impl FnOnce() -> R) -> (R, Vec<CompletedSpan>, Arc<TraceRec
     (out, spans, rec)
 }
 
-/// Satellite fix: a sequential-context aggregation run is still a kernel
-/// run. It must emit an [`dpnet_obs::ExecEvent`] with `workers: 1` instead
-/// of being silently skipped.
+/// An aggregation on the one-worker pool is still a kernel run. It must
+/// emit an [`dpnet_obs::ExecEvent`] with `workers: 1` instead of being
+/// silently skipped.
 #[test]
 fn sequential_runs_emit_exec_events_with_one_worker() {
     // No recorder is installed here, but these aggregations still open
     // spans: without the guard they land in another test's recorder.
     let _g = global_guard();
     let (_, sink, q) = dataset(2_000, 100.0);
-    // Explicitly sequential: the default context.
+    // Explicitly the one-worker pool, which is also the default.
     let q = q.with_ctx(ExecCtx::Sequential);
     q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
     q.noisy_median(0.1, 0.0, 2_000.0, 32, |&v| v as f64)
@@ -143,7 +143,7 @@ fn plan_materialization_is_spanned_inside_its_barrier() {
     assert_eq!(plan.parent, Some(barrier.id));
     assert_eq!(plan.track, barrier.track);
     assert!(barrier.dur_ns >= plan.dur_ns);
-    assert_eq!(plan.detail.as_deref(), Some("sequential"));
+    assert_eq!(plan.detail.as_deref(), Some("workers=1"));
 }
 
 /// `group_by` and `join` are barriers like `partition`: each opens its own
