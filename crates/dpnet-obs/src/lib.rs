@@ -51,6 +51,14 @@ pub mod sink;
 pub mod span;
 pub mod trace_export;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, going on past poisoning: a panic in another holder does not
+/// make later locks fail. The one way this crate takes a lock.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub use clock::{now_ns, unix_time_s};
 pub use event::{
     AggregateEvent, ChargeEvent, Event, ExecEvent, Outcome, PhaseEvent, PlanEvent, SessionEvent,

@@ -6,6 +6,7 @@
 //! registration, so instrumenting the engine costs nanoseconds per event.
 
 use crate::json::JsonObj;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -174,10 +175,6 @@ impl HistogramSnapshot {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl MetricsRegistry {

@@ -7,13 +7,10 @@
 //! atomic load of the global one per [`SinkHandle::resolve`].
 
 use crate::event::Event;
+use crate::lock;
 use crate::span::SpanGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// Receives structured engine events. Implementations must be cheap and
 /// must never panic back into the engine.

@@ -29,15 +29,12 @@
 
 use crate::clock;
 use crate::json::JsonObj;
+use crate::lock;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// One finished span, as assembled by the [`TraceRecorder`].
 #[derive(Debug, Clone)]
@@ -554,7 +551,7 @@ mod tests {
     /// mutate global state, so they share one lock.
     fn global_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+        lock(&LOCK)
     }
 
     fn spin(iters: u64) -> u64 {

@@ -36,8 +36,7 @@ impl Default for BrokerConfig {
     }
 }
 
-/// A counting semaphore over `std::sync` primitives (the vendored
-/// `parking_lot` shim has no `Condvar`).
+/// A counting semaphore: a `std::sync` mutex-guarded count and a condvar.
 struct JobSlots {
     free: Mutex<usize>,
     cv: Condvar,

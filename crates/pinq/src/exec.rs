@@ -68,10 +68,11 @@
 //! types are already thread-safe for the concurrent spends.
 
 use crate::error::{Error, Result};
+use crate::lock;
 use dpnet_obs::span;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Default number of records per chunk for chunked kernels. Chosen large
 /// enough that per-task overhead (claim, channel send) is negligible and
@@ -207,7 +208,7 @@ impl ExecPool {
                             break;
                         }
                         let _task = span::enter("exec/task");
-                        *slots[i].lock() = Some(f(i));
+                        *lock(&slots[i]) = Some(f(i));
                     }
                 });
             }
@@ -216,6 +217,7 @@ impl ExecPool {
             .into_iter()
             .map(|s| {
                 s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("every task index is claimed exactly once")
             })
             .collect()

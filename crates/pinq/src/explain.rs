@@ -9,10 +9,11 @@
 //! * [`Queryable::explain`](crate::Queryable::explain) snapshots one
 //!   pipeline into an [`ExplainTree`] — its operator lineage (with fusion
 //!   boundaries and the stability multiplier at each edge), the charge DAG
-//!   as structured [`ChargeTree`] nodes (what
-//!   `ChargeNode::describe` narrates as a string), and the per-root ε a
-//!   pending aggregation *would* charge. Side-effect-free: nothing is
-//!   spent, nothing materializes.
+//!   as a kernel [`KernelState`] (the live DAG compiled node for node,
+//!   with each root's budget and each ledger's whole book), and the
+//!   per-root ε a pending aggregation *would* charge, priced by
+//!   [`model::predict`] on that state. Side-effect-free: nothing is spent,
+//!   nothing materializes.
 //! * An [`ExplainRecorder`], installed process-wide like the span
 //!   profiler, watches a real run and folds every aggregation's charge
 //!   into an [`ExplainReport`]: per-aggregation and per-charge-path
@@ -29,146 +30,11 @@
 //! arithmetic, timings): safe to show an analyst, and exactly what a data
 //! owner needs to audit a mediated session.
 
-use parking_lot::Mutex;
+use crate::kernel::model::{self, KernelState, NodeId, NodeSpec};
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-
-// ---------------------------------------------------------------------
-// Structured charge DAG
-// ---------------------------------------------------------------------
-
-/// A structured snapshot of the charge DAG from one queryable to its
-/// budget root(s) — `ChargeNode::describe` promoted from a debug string to
-/// nodes, with the live budget / ledger numbers at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChargeTree {
-    /// A budget root: charges land on an [`crate::Accountant`].
-    Root {
-        /// ε spent on the accountant at snapshot time.
-        spent: f64,
-        /// The accountant's total budget.
-        total: f64,
-    },
-    /// Charges are multiplied by `factor` on the way to `child`.
-    Scaled {
-        /// The stability factor applied across this edge.
-        factor: f64,
-        /// The node charges are forwarded to.
-        child: Box<ChargeTree>,
-    },
-    /// Charges are forwarded, unscaled, to every child (`join`, `concat`,
-    /// `intersect`, multi-budget views).
-    Combined(Vec<ChargeTree>),
-    /// Charges flow through a partition ledger: only increases of the
-    /// maximum part spend reach `child` (parallel composition).
-    Part {
-        /// This part's index within the partition.
-        index: usize,
-        /// The total number of parts sharing the ledger.
-        parts: usize,
-        /// This part's cumulative spend at snapshot time.
-        part_spent: f64,
-        /// The maximum part spend at snapshot time.
-        max_spent: f64,
-        /// The node max-increases are forwarded to.
-        child: Box<ChargeTree>,
-    },
-}
-
-impl ChargeTree {
-    /// The static charge path this tree narrates — byte-identical to what
-    /// `ChargeNode::describe` renders for the node it was snapshot from.
-    pub fn path(&self) -> String {
-        match self {
-            ChargeTree::Root { .. } => "root".to_string(),
-            ChargeTree::Scaled { factor, child } => format!("scale(x{factor})/{}", child.path()),
-            ChargeTree::Combined(children) => {
-                let inner: Vec<String> = children
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| format!("in[{i}]:{}", c.path()))
-                    .collect();
-                format!("({})", inner.join("+"))
-            }
-            ChargeTree::Part { index, child, .. } => format!("part[{index}]/{}", child.path()),
-        }
-    }
-
-    /// Predict the per-root `(full_path, ε)` deltas a charge of `eps`
-    /// through this node would apply, given the spends captured in the
-    /// snapshot. Pure: the snapshot is compiled into a kernel
-    /// [`crate::kernel::model::KernelState`] and walked with the kernel's
-    /// own predict arithmetic — the same formulas live charges use, so a
-    /// static `EXPLAIN` cannot drift from the engine.
-    pub fn predict(&self, eps: f64) -> Vec<(String, f64)> {
-        crate::kernel::predict_tree(self, eps)
-    }
-
-    fn render_text_into(&self, indent: usize, out: &mut String) {
-        let pad = "  ".repeat(indent);
-        match self {
-            ChargeTree::Root { spent, total } => {
-                out.push_str(&format!("{pad}root  [spent {spent:.6} of {total:.6}]\n"));
-            }
-            ChargeTree::Scaled { factor, child } => {
-                out.push_str(&format!("{pad}scale(x{factor})\n"));
-                child.render_text_into(indent + 1, out);
-            }
-            ChargeTree::Combined(children) => {
-                out.push_str(&format!("{pad}combined ({} inputs)\n", children.len()));
-                for (i, c) in children.iter().enumerate() {
-                    out.push_str(&format!("{pad}  in[{i}]:\n"));
-                    c.render_text_into(indent + 2, out);
-                }
-            }
-            ChargeTree::Part {
-                index,
-                parts,
-                part_spent,
-                max_spent,
-                child,
-            } => {
-                out.push_str(&format!(
-                    "{pad}part[{index}] of {parts}  [part ε {part_spent:.6}, max ε {max_spent:.6}]\n"
-                ));
-                child.render_text_into(indent + 1, out);
-            }
-        }
-    }
-
-    fn to_json_value(&self) -> String {
-        use dpnet_obs::json::number;
-        match self {
-            ChargeTree::Root { spent, total } => format!(
-                "{{\"kind\":\"root\",\"spent\":{},\"total\":{}}}",
-                number(*spent),
-                number(*total)
-            ),
-            ChargeTree::Scaled { factor, child } => format!(
-                "{{\"kind\":\"scale\",\"factor\":{},\"child\":{}}}",
-                number(*factor),
-                child.to_json_value()
-            ),
-            ChargeTree::Combined(children) => {
-                let inner: Vec<String> = children.iter().map(|c| c.to_json_value()).collect();
-                format!("{{\"kind\":\"combined\",\"inputs\":[{}]}}", inner.join(","))
-            }
-            ChargeTree::Part {
-                index,
-                parts,
-                part_spent,
-                max_spent,
-                child,
-            } => format!(
-                "{{\"kind\":\"part\",\"index\":{index},\"parts\":{parts},\"part_eps\":{},\"max_eps\":{},\"child\":{}}}",
-                number(*part_spent),
-                number(*max_spent),
-                child.to_json_value()
-            ),
-        }
-    }
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------
 // Operator lineage
@@ -274,9 +140,9 @@ impl OpNode {
 // ---------------------------------------------------------------------
 
 /// A side-effect-free snapshot of one queryable pipeline: operator
-/// lineage, fusion state, the structured charge DAG, and the arithmetic to
-/// predict what any pending aggregation would cost. Produced by
-/// [`Queryable::explain`](crate::Queryable::explain).
+/// lineage, fusion state, the charge DAG as a kernel state, and the
+/// arithmetic to predict what any pending aggregation would cost. Produced
+/// by [`Queryable::explain`](crate::Queryable::explain).
 #[derive(Debug)]
 pub struct ExplainTree {
     /// The queryable's analysis label, if one was set.
@@ -289,16 +155,23 @@ pub struct ExplainTree {
     pub materialized: bool,
     /// The operator lineage from this handle back to its source(s).
     pub lineage: Arc<OpNode>,
-    /// The charge DAG from this handle to its budget root(s).
-    pub charge: ChargeTree,
+    /// The charge DAG from this handle to its budget root(s), with the
+    /// budgets and ledger books at snapshot time.
+    pub charge: KernelState,
+    /// The node of [`ExplainTree::charge`] this handle charges through.
+    pub node: NodeId,
 }
 
 impl ExplainTree {
     /// The per-root `(full_path, ε)` deltas an aggregation at analyst
     /// accuracy `eps` would charge right now: `stability × eps` pushed
-    /// through the snapshot charge DAG. Pure arithmetic.
+    /// through the snapshot by [`model::predict`], the kernel's own walk,
+    /// so a static EXPLAIN cannot drift from the engine. Pure arithmetic.
     pub fn predict(&self, eps: f64) -> Vec<(String, f64)> {
-        self.charge.predict(self.stability * eps)
+        model::predict(&self.charge, self.node, self.stability * eps)
+            .into_iter()
+            .map(|d| (d.path, d.eps))
+            .collect()
     }
 
     /// Render as an indented text tree: plan lineage first (sink at the
@@ -318,8 +191,75 @@ impl ExplainTree {
         out.push_str("plan:\n");
         self.lineage.render_text_into(1, &mut out);
         out.push_str("charge:\n");
-        self.charge.render_text_into(1, &mut out);
+        self.charge_text_into(self.node, 1, &mut out);
         out
+    }
+
+    fn charge_text_into(&self, node: NodeId, indent: usize, out: &mut String) {
+        let pad = "  ".repeat(indent);
+        match &self.charge.nodes[node.0] {
+            NodeSpec::Root(root) => {
+                let b = self.charge.roots[root.0];
+                out.push_str(&format!(
+                    "{pad}root  [spent {:.6} of {:.6}]\n",
+                    b.spent, b.total
+                ));
+            }
+            NodeSpec::Scaled { parent, factor } => {
+                out.push_str(&format!("{pad}scale(x{factor})\n"));
+                self.charge_text_into(*parent, indent + 1, out);
+            }
+            NodeSpec::Combined(parents) => {
+                out.push_str(&format!("{pad}combined ({} inputs)\n", parents.len()));
+                for (i, p) in parents.iter().enumerate() {
+                    out.push_str(&format!("{pad}  in[{i}]:\n"));
+                    self.charge_text_into(*p, indent + 2, out);
+                }
+            }
+            NodeSpec::Part { ledger, index } => {
+                let l = &self.charge.ledgers[ledger.0];
+                out.push_str(&format!(
+                    "{pad}part[{index}] of {}  [part ε {:.6}, max ε {:.6}]\n",
+                    l.book.spends.len(),
+                    l.book.part_spent(*index),
+                    l.book.max
+                ));
+                self.charge_text_into(l.parent, indent + 1, out);
+            }
+        }
+    }
+
+    fn charge_json(&self, node: NodeId) -> String {
+        use dpnet_obs::json::number;
+        match &self.charge.nodes[node.0] {
+            NodeSpec::Root(root) => {
+                let b = self.charge.roots[root.0];
+                format!(
+                    "{{\"kind\":\"root\",\"spent\":{},\"total\":{}}}",
+                    number(b.spent),
+                    number(b.total)
+                )
+            }
+            NodeSpec::Scaled { parent, factor } => format!(
+                "{{\"kind\":\"scale\",\"factor\":{},\"child\":{}}}",
+                number(*factor),
+                self.charge_json(*parent)
+            ),
+            NodeSpec::Combined(parents) => {
+                let inner: Vec<String> = parents.iter().map(|p| self.charge_json(*p)).collect();
+                format!("{{\"kind\":\"combined\",\"inputs\":[{}]}}", inner.join(","))
+            }
+            NodeSpec::Part { ledger, index } => {
+                let l = &self.charge.ledgers[ledger.0];
+                format!(
+                    "{{\"kind\":\"part\",\"index\":{index},\"parts\":{},\"part_eps\":{},\"max_eps\":{},\"child\":{}}}",
+                    l.book.spends.len(),
+                    number(l.book.part_spent(*index)),
+                    number(l.book.max),
+                    self.charge_json(l.parent)
+                )
+            }
+        }
     }
 
     /// Render as a Graphviz DOT digraph: plan nodes (fused stages dashed),
@@ -341,42 +281,44 @@ impl ExplainTree {
             }
             id
         }
-        fn walk_charge(node: &ChargeTree, next_id: &mut usize, out: &mut String) -> usize {
+        fn walk_charge(
+            st: &KernelState,
+            node: NodeId,
+            next_id: &mut usize,
+            out: &mut String,
+        ) -> usize {
             let id = *next_id;
             *next_id += 1;
-            let (label, children): (String, Vec<&ChargeTree>) = match node {
-                ChargeTree::Root { spent, total } => {
-                    (format!("root\nspent {spent:.6}/{total:.6}"), vec![])
+            let (label, children) = match &st.nodes[node.0] {
+                NodeSpec::Root(root) => {
+                    let b = st.roots[root.0];
+                    (format!("root\nspent {:.6}/{:.6}", b.spent, b.total), vec![])
                 }
-                ChargeTree::Scaled { factor, child } => {
-                    (format!("scale(x{factor})"), vec![child.as_ref()])
+                NodeSpec::Scaled { parent, factor } => (format!("scale(x{factor})"), vec![*parent]),
+                NodeSpec::Combined(parents) => ("combined".to_string(), parents.clone()),
+                NodeSpec::Part { ledger, index } => {
+                    let l = &st.ledgers[ledger.0];
+                    let label = format!(
+                        "part[{index}] of {}\npart ε {:.6}\nmax ε {:.6}",
+                        l.book.spends.len(),
+                        l.book.part_spent(*index),
+                        l.book.max
+                    );
+                    (label, vec![l.parent])
                 }
-                ChargeTree::Combined(cs) => ("combined".to_string(), cs.iter().collect()),
-                ChargeTree::Part {
-                    index,
-                    parts,
-                    part_spent,
-                    max_spent,
-                    child,
-                } => (
-                    format!(
-                        "part[{index}] of {parts}\npart ε {part_spent:.6}\nmax ε {max_spent:.6}"
-                    ),
-                    vec![child.as_ref()],
-                ),
             };
             out.push_str(&format!(
                 "  charge{id} [shape=box,label=\"{}\"];\n",
                 dot_escape(&label)
             ));
             for c in children {
-                let child = walk_charge(c, next_id, out);
+                let child = walk_charge(st, c, next_id, out);
                 out.push_str(&format!("  charge{id} -> charge{child};\n"));
             }
             id
         }
         let sink = walk_ops(&self.lineage, &mut next_id, &mut out);
-        let charge_root = walk_charge(&self.charge, &mut next_id, &mut out);
+        let charge_root = walk_charge(&self.charge, self.node, &mut next_id, &mut out);
         out.push_str(&format!(
             "  op{sink} -> charge{charge_root} [style=dotted,label=\"x{}\"];\n",
             self.stability
@@ -398,7 +340,7 @@ impl ExplainTree {
             self.pending_fused,
             self.materialized,
             self.lineage.to_json_value(),
-            self.charge.to_json_value()
+            self.charge_json(self.node)
         )
     }
 }
@@ -446,27 +388,26 @@ pub fn normalize_path(path: &str) -> String {
 // Run-wide recorder
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default, Clone, Copy)]
-struct AggAgg {
-    calls: u64,
-    requested_eps: f64,
-    predicted_eps: f64,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct PathAgg {
-    calls: u64,
-    predicted_eps: f64,
-}
-
+/// The report's records, kept sorted by their keys as they fold.
 #[derive(Debug, Default)]
 struct RecorderState {
     /// Keyed by (operator, normalized charge path).
-    aggregations: BTreeMap<(String, String), AggAgg>,
+    aggregations: BTreeMap<(String, String), AggRecord>,
     /// Normalized root paths, folded across sibling parts.
-    paths: BTreeMap<String, PathAgg>,
+    paths: BTreeMap<String, PathRecord>,
     /// Exact root paths, one entry per distinct part.
-    full_paths: BTreeMap<String, PathAgg>,
+    full_paths: BTreeMap<String, PathRecord>,
+}
+
+/// Fold one walk of `path` that landed `delta` into `paths`.
+fn fold_path(paths: &mut BTreeMap<String, PathRecord>, path: String, delta: f64) {
+    let p = paths.entry(path).or_insert_with_key(|path| PathRecord {
+        path: path.clone(),
+        calls: 0,
+        predicted_eps: 0.0,
+    });
+    p.calls += 1;
+    p.predicted_eps += delta;
 }
 
 /// Observes every aggregation charge in a real run and folds it into an
@@ -500,63 +441,39 @@ impl ExplainRecorder {
         trace: &[(String, f64)],
     ) {
         let predicted: f64 = trace.iter().map(|(_, d)| d).sum();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let agg = st
             .aggregations
             .entry((operator.to_string(), normalize_path(describe)))
-            .or_default();
+            .or_insert_with_key(|(operator, path)| AggRecord {
+                operator: operator.clone(),
+                path: path.clone(),
+                calls: 0,
+                requested_eps: 0.0,
+                predicted_eps: 0.0,
+            });
         agg.calls += 1;
         agg.requested_eps += requested;
         agg.predicted_eps += predicted;
         for (path, delta) in trace {
-            let full = st.full_paths.entry(path.clone()).or_default();
-            full.calls += 1;
-            full.predicted_eps += delta;
-            let norm = st.paths.entry(normalize_path(path)).or_default();
-            norm.calls += 1;
-            norm.predicted_eps += delta;
+            fold_path(&mut st.full_paths, path.clone(), *delta);
+            fold_path(&mut st.paths, normalize_path(path), *delta);
         }
     }
 
     /// Drop everything recorded so far.
     pub fn clear(&self) {
-        *self.state.lock() = RecorderState::default();
+        *lock(&self.state) = RecorderState::default();
     }
 
     /// Snapshot the recorded aggregations into a report.
     pub fn report(&self) -> ExplainReport {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         ExplainReport {
             title: String::new(),
-            aggregations: st
-                .aggregations
-                .iter()
-                .map(|((operator, path), a)| AggRecord {
-                    operator: operator.clone(),
-                    path: path.clone(),
-                    calls: a.calls,
-                    requested_eps: a.requested_eps,
-                    predicted_eps: a.predicted_eps,
-                })
-                .collect(),
-            paths: st
-                .paths
-                .iter()
-                .map(|(path, p)| PathRecord {
-                    path: path.clone(),
-                    calls: p.calls,
-                    predicted_eps: p.predicted_eps,
-                })
-                .collect(),
-            full_paths: st
-                .full_paths
-                .iter()
-                .map(|(path, p)| PathRecord {
-                    path: path.clone(),
-                    calls: p.calls,
-                    predicted_eps: p.predicted_eps,
-                })
-                .collect(),
+            aggregations: st.aggregations.values().cloned().collect(),
+            paths: st.paths.values().cloned().collect(),
+            full_paths: st.full_paths.values().cloned().collect(),
         }
     }
 }
@@ -870,7 +787,7 @@ fn registry() -> &'static Registry {
 /// aggregation charge is folded into it.
 pub fn install_explain_recorder(rec: Arc<ExplainRecorder>) -> Option<Arc<ExplainRecorder>> {
     let reg = registry();
-    let old = reg.recorder.lock().replace(rec);
+    let old = lock(&reg.recorder).replace(rec);
     reg.enabled.store(true, Ordering::Release);
     old
 }
@@ -879,7 +796,7 @@ pub fn install_explain_recorder(rec: Arc<ExplainRecorder>) -> Option<Arc<Explain
 pub fn uninstall_explain_recorder() -> Option<Arc<ExplainRecorder>> {
     let reg = registry();
     reg.enabled.store(false, Ordering::Release);
-    reg.recorder.lock().take()
+    lock(&reg.recorder).take()
 }
 
 /// Whether an explain recorder is currently installed. One relaxed atomic
@@ -893,14 +810,14 @@ pub(crate) fn recorder() -> Option<Arc<ExplainRecorder>> {
     if !explain_enabled() {
         return None;
     }
-    registry().recorder.lock().clone()
+    lock(&registry().recorder).clone()
 }
 
 /// Serializes tests (crate-wide) that install the process-wide recorder.
 #[cfg(test)]
 pub(crate) fn test_global_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    static GUARD: Mutex<()> = Mutex::new(());
+    lock(&GUARD)
 }
 
 #[cfg(test)]
@@ -932,22 +849,30 @@ mod tests {
         assert_eq!(dot_escape("cr\r\n"), "cr\\n");
     }
 
+    /// Part 1 of a four-part ledger behind a ×2 scaling of a budget of
+    /// 10, with part 1 at 0.2 under a 0.5 max, snapshot at `stability`.
+    fn part_tree(lineage: Arc<OpNode>, stability: f64) -> ExplainTree {
+        use crate::kernel::{charge_prepared, partition_parts, prepare, root_node};
+        let parts = partition_parts(&root_node(&crate::Accountant::new(10.0)), 2.0, 4);
+        let prep = prepare("noisy_count", None);
+        charge_prepared(&parts.part(1), 0.2, &prep).unwrap();
+        charge_prepared(&parts.part(3), 0.5, &prep).unwrap();
+        let (charge, node) = parts.part(1).snapshot();
+        let label = Some("ports".to_string());
+        ExplainTree {
+            label,
+            stability,
+            pending_fused: 0,
+            materialized: true,
+            lineage,
+            charge,
+            node,
+        }
+    }
+
     #[test]
-    fn charge_tree_predicts_part_deltas_from_snapshot() {
-        let tree = ChargeTree::Part {
-            index: 1,
-            parts: 4,
-            part_spent: 0.2,
-            max_spent: 0.5,
-            child: Box::new(ChargeTree::Scaled {
-                factor: 2.0,
-                child: Box::new(ChargeTree::Root {
-                    spent: 1.0,
-                    total: 10.0,
-                }),
-            }),
-        };
-        assert_eq!(tree.path(), "part[1]/scale(x2)/root");
+    fn explain_tree_predicts_part_deltas_from_snapshot() {
+        let tree = part_tree(OpNode::source(None), 1.0);
         // 0.2 + 0.1 stays under the 0.5 max: nothing reaches the root.
         let under = tree.predict(0.1);
         assert_eq!(under, vec![("part[1]/scale(x2)/root".to_string(), 0.0)]);
@@ -1058,27 +983,18 @@ mod tests {
         let source = OpNode::source(None);
         let filtered = OpNode::derived("filter", 1.0, true, None, source);
         let grouped = OpNode::derived("group_by", 2.0, false, None, filtered);
-        let tree = ExplainTree {
-            label: Some("ports".to_string()),
-            stability: 2.0,
-            pending_fused: 0,
-            materialized: true,
-            lineage: grouped,
-            charge: ChargeTree::Root {
-                spent: 0.2,
-                total: 1.0,
-            },
-        };
-        let predicted = tree.predict(0.1);
+        let tree = part_tree(grouped, 2.0);
+        let predicted = tree.predict(0.2);
         assert_eq!(predicted.len(), 1);
-        assert_eq!(predicted[0].0, "root");
+        assert_eq!(predicted[0].0, "part[1]/scale(x2)/root");
         assert!((predicted[0].1 - 0.2).abs() < 1e-12);
         let text = tree.render_text();
         assert!(text.contains("\"ports\""));
         assert!(text.contains("group_by (x2)"));
         assert!(text.contains("filter (x1, fused)"));
         assert!(text.contains("source"));
-        assert!(text.contains("root  [spent 0.200000 of 1.000000]"));
+        assert!(text.contains("part[1] of 4  [part ε 0.200000, max ε 0.500000]"));
+        assert!(text.contains("root  [spent 1.000000 of 10.000000]"));
         let dot = tree.render_dot();
         assert!(dot.contains("style=dashed"));
         assert!(dot.contains("op1 -> op0"));

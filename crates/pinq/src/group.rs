@@ -18,13 +18,14 @@
 //! [`Queryable::join`]: crate::Queryable::join
 
 use crate::exec::ExecPool;
+use crate::lock;
 use crate::shard::Shards;
 use crate::types::Group;
 use dpnet_obs::span;
-use parking_lot::Mutex;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::{Mutex, PoisonError};
 
 /// Most parts an input is split into.
 const MAX_PARTS: usize = 64;
@@ -217,7 +218,7 @@ impl PartIndex {
             let _span = span::enter("group/hash");
             let tasks: Vec<Mutex<&mut [u64]>> = hashes.chunks_mut(chunk).map(Mutex::new).collect();
             pool.run(&tasks, |i, task| {
-                let mut out = task.lock();
+                let mut out = lock(task);
                 let range = i * chunk..i * chunk + out.len();
                 let mut slots = out.iter_mut();
                 records.for_range(range, &mut |r| {
@@ -260,7 +261,7 @@ impl PartIndex {
                 .collect()
         };
         pool.run(&tasks, |p, task| {
-            let mut task = task.lock();
+            let mut task = lock(task);
             let (map, local, sizes) = &mut *task;
             for (&(hash, r), id) in by_part[p].iter().zip(local.iter_mut()) {
                 let next = map.len() as u32;
@@ -268,7 +269,10 @@ impl PartIndex {
                 sizes[*id as usize] += 1;
             }
         });
-        let maps = tasks.into_iter().map(|t| t.into_inner().0).collect();
+        let maps = tasks
+            .into_iter()
+            .map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner).0)
+            .collect();
         let index = PartIndex {
             hasher,
             parts,

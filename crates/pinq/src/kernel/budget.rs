@@ -28,11 +28,11 @@
 
 use super::model::RootBudget;
 use crate::error::Result;
+use crate::lock;
 use dpnet_obs::sink::SinkHandle;
 use dpnet_obs::{now_ns, ChargeEvent, Event, EventSink};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Spend-log entries retained by default before the ring buffer starts
 /// evicting the oldest (see [`Accountant::set_log_capacity`]).
@@ -195,30 +195,35 @@ impl Accountant {
         if Arc::strong_count(&self.state) > 1 || self.sink.is_bound() {
             return None;
         }
-        Some(self.state.lock().budget)
+        Some(lock(&self.state).budget)
     }
 
     /// The total budget currently configured (initial grant plus any
     /// later [`Accountant::grant`]s).
     pub fn total(&self) -> f64 {
-        self.state.lock().budget.total
+        lock(&self.state).budget.total
     }
 
     /// Cumulative ε spent so far.
     pub fn spent(&self) -> f64 {
-        self.state.lock().budget.spent
+        lock(&self.state).budget.spent
     }
 
     /// ε still available.
     pub fn remaining(&self) -> f64 {
-        self.state.lock().budget.remaining()
+        lock(&self.state).budget.remaining()
     }
 
     /// A copy of the underlying kernel budget value, read under one lock
     /// acquisition — `total` and `spent` taken at the same instant, for
     /// tests and tooling replaying the facade against the pure model.
     pub fn budget_snapshot(&self) -> RootBudget {
-        self.state.lock().budget
+        lock(&self.state).budget
+    }
+
+    /// Whether `other` is a clone of this accountant: the same books.
+    pub(in crate::kernel) fn shares_books_with(&self, other: &Accountant) -> bool {
+        Arc::ptr_eq(&self.state, &other.state)
     }
 
     /// Enlarge the budget by `extra` ε — a *data-owner* operation, the
@@ -229,7 +234,7 @@ impl Accountant {
     /// # Panics
     /// Panics on a negative, NaN or infinite grant.
     pub fn grant(&self, extra: f64) {
-        self.state.lock().budget.grant(extra);
+        lock(&self.state).budget.grant(extra);
     }
 
     /// Bind (or with `None`, unbind) the sink that receives this
@@ -249,7 +254,7 @@ impl Accountant {
     /// evicted first. Totals and per-operator aggregates stay exact no
     /// matter how much is evicted. A capacity of 0 retains nothing.
     pub fn set_log_capacity(&self, capacity: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.log_capacity = capacity;
         while st.log.len() > capacity {
             st.log.pop_front();
@@ -259,21 +264,20 @@ impl Accountant {
 
     /// Ledger entries evicted from the bounded log so far.
     pub fn evicted_entries(&self) -> u64 {
-        self.state.lock().evicted
+        lock(&self.state).evicted
     }
 
     /// Snapshot of the spends still retained in the bounded log (oldest
     /// first). For *exact* accounting use [`Accountant::operator_totals`]
     /// and [`Accountant::spent`], which survive eviction.
     pub fn audit_log(&self) -> Vec<SpendEvent> {
-        self.state.lock().log.iter().cloned().collect()
+        lock(&self.state).log.iter().cloned().collect()
     }
 
     /// Exact net ε per operator name, independent of log eviction. The
     /// values sum to [`Accountant::spent`] (up to float rounding).
     pub fn operator_totals(&self) -> Vec<(Arc<str>, OperatorTotal)> {
-        self.state
-            .lock()
+        lock(&self.state)
             .per_operator
             .iter()
             .map(|(k, v)| (k.clone(), *v))
@@ -288,8 +292,7 @@ impl Accountant {
     /// float rounding). This is the measured side of `EXPLAIN ANALYZE`:
     /// the number a static plan's predicted ε per path must reproduce.
     pub fn path_totals(&self) -> Vec<(Arc<str>, OperatorTotal)> {
-        self.state
-            .lock()
+        lock(&self.state)
             .per_path
             .iter()
             .map(|(k, v)| (k.clone(), *v))
@@ -313,7 +316,7 @@ impl Accountant {
         path: &str,
     ) -> Result<()> {
         let (ev, spent_after) = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.budget.try_charge(eps)?;
             let ev = st.record(eps, meta, path);
             (ev, st.budget.spent)
@@ -336,7 +339,7 @@ impl Accountant {
     /// to `spent` even if a refund clamps.
     pub(in crate::kernel) fn refund_with(&self, eps: f64, meta: &ChargeMeta, path: &str) {
         let (ev, spent_after) = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let applied = st.budget.refund(eps);
             let ev = st.record(-applied, meta, path);
             (ev, st.budget.spent)
@@ -367,7 +370,7 @@ impl Accountant {
     pub fn export_audit_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         use dpnet_obs::json::JsonObj;
         let (log, totals, paths, spent, total, evicted) = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             (
                 st.log.iter().cloned().collect::<Vec<_>>(),
                 st.per_operator

@@ -19,7 +19,10 @@
 //! budget but *through which composition* it did.
 
 use super::budget::{Accountant, ChargeMeta};
-use super::model::{join_path, seg_in, seg_part, seg_scale, SEG_ROOT};
+use super::model::{
+    join_path, seg_in, seg_part, seg_scale, KernelState, Ledger, LedgerId, NodeId, NodeSpec,
+    RootId, SEG_ROOT,
+};
 use super::partition::PartitionLedger;
 use crate::error::Result;
 use std::sync::Arc;
@@ -49,6 +52,15 @@ pub(crate) enum ChargeNode {
         /// Part index (narrated as `part[index]` in charge paths).
         index: usize,
     },
+}
+
+/// A snapshot in progress: the state built so far, and the accountants
+/// and ledgers already copied into it, in `RootId` and `LedgerId` order.
+#[derive(Default)]
+struct Snapshot<'a> {
+    state: KernelState,
+    roots: Vec<&'a Accountant>,
+    ledgers: Vec<&'a Arc<PartitionLedger>>,
 }
 
 impl ChargeNode {
@@ -151,34 +163,55 @@ impl ChargeNode {
         }
     }
 
-    /// Snapshot the charge DAG into the public structured form used by
-    /// [`crate::explain`]: the same shape `describe()` narrates, plus the
-    /// live budget / ledger numbers at each node. Side-effect-free.
-    pub(crate) fn snapshot(&self) -> crate::explain::ChargeTree {
-        use crate::explain::ChargeTree;
-        match self {
-            ChargeNode::Root(acct) => ChargeTree::Root {
-                spent: acct.spent(),
-                total: acct.total(),
-            },
-            ChargeNode::Scaled { parent, factor } => ChargeTree::Scaled {
+    /// Compile the charge DAG from this node to its roots into the kernel
+    /// model, in one walk: each root's budget and each ledger's whole book
+    /// are copied in, once per accountant and once per ledger however many
+    /// paths reach them. Returns the state and this node's id in it — what
+    /// [`crate::explain`] renders and [`super::model::predict`] prices.
+    /// Side-effect-free.
+    pub(crate) fn snapshot(&self) -> (KernelState, NodeId) {
+        let mut snap = Snapshot::default();
+        let node = self.snapshot_into(&mut snap);
+        (snap.state, node)
+    }
+
+    fn snapshot_into<'a>(&'a self, snap: &mut Snapshot<'a>) -> NodeId {
+        let spec = match self {
+            ChargeNode::Root(acct) => {
+                let root = match snap.roots.iter().position(|a| a.shares_books_with(acct)) {
+                    Some(i) => RootId(i),
+                    None => {
+                        snap.roots.push(acct);
+                        snap.state.add_root(acct.budget_snapshot())
+                    }
+                };
+                NodeSpec::Root(root)
+            }
+            ChargeNode::Scaled { parent, factor } => NodeSpec::Scaled {
+                parent: parent.snapshot_into(snap),
                 factor: *factor,
-                child: Box::new(parent.snapshot()),
             },
             ChargeNode::Combined(parents) => {
-                ChargeTree::Combined(parents.iter().map(|p| p.snapshot()).collect())
+                NodeSpec::Combined(parents.iter().map(|p| p.snapshot_into(snap)).collect())
             }
             ChargeNode::PartitionPart { ledger, index } => {
-                let spends = ledger.spends();
-                ChargeTree::Part {
+                let ledger = match snap.ledgers.iter().position(|l| Arc::ptr_eq(l, ledger)) {
+                    Some(i) => LedgerId(i),
+                    None => {
+                        let parent = ledger.parent().snapshot_into(snap);
+                        snap.ledgers.push(ledger);
+                        let book = ledger.book();
+                        snap.state.ledgers.push(Ledger { parent, book });
+                        LedgerId(snap.ledgers.len() - 1)
+                    }
+                };
+                NodeSpec::Part {
+                    ledger,
                     index: *index,
-                    parts: spends.len(),
-                    part_spent: spends.get(*index).copied().unwrap_or(0.0),
-                    max_spent: spends.iter().cloned().fold(0.0, f64::max),
-                    child: Box::new(ledger.parent().snapshot()),
                 }
             }
-        }
+        };
+        snap.state.add_node(spec)
     }
 
     /// Render the static charge path from this node to its root(s) without
@@ -389,7 +422,7 @@ mod tests {
         assert_eq!(predicted, vec![("part[1]/root".to_string(), 0.4)]);
         // Prediction is free.
         assert_eq!(acct.spent(), 0.0);
-        assert_eq!(ledger.spends(), vec![0.0, 0.0]);
+        assert_eq!(ledger.book().spends, vec![0.0, 0.0]);
 
         // After really charging, a second identical charge predicts the
         // same delta a real walk would forward (full eps again: max grows).
@@ -406,6 +439,7 @@ mod tests {
 
     #[test]
     fn snapshot_mirrors_describe_structure() {
+        use crate::kernel::model::{predict, RootBudget};
         let acct = Accountant::new(10.0);
         let root = Arc::new(ChargeNode::Root(acct.clone()));
         let scaled = Arc::new(ChargeNode::Scaled {
@@ -413,37 +447,47 @@ mod tests {
             factor: 2.0,
         });
         let ledger = Arc::new(crate::kernel::partition::PartitionLedger::new(scaled, 4));
-        let part = ChargeNode::PartitionPart { ledger, index: 3 };
-        part.charge(0.25).unwrap();
-        let tree = part.snapshot();
-        assert_eq!(tree.path(), "part[3]/scale(x2)/root");
-        match tree {
-            crate::explain::ChargeTree::Part {
+        let part = |index| {
+            Arc::new(ChargeNode::PartitionPart {
+                ledger: ledger.clone(),
                 index,
-                parts,
-                part_spent,
-                max_spent,
-                child,
-            } => {
-                assert_eq!((index, parts), (3, 4));
-                assert!((part_spent - 0.25).abs() < 1e-12);
-                assert!((max_spent - 0.25).abs() < 1e-12);
-                match *child {
-                    crate::explain::ChargeTree::Scaled { factor, child } => {
-                        assert_eq!(factor, 2.0);
-                        match *child {
-                            crate::explain::ChargeTree::Root { spent, total } => {
-                                assert!((spent - 0.5).abs() < 1e-12);
-                                assert_eq!(total, 10.0);
-                            }
-                            other => panic!("expected Root, got {other:?}"),
-                        }
-                    }
-                    other => panic!("expected Scaled, got {other:?}"),
-                }
-            }
-            other => panic!("expected Part, got {other:?}"),
-        }
+            })
+        };
+        part(3).charge(0.25).unwrap();
+        let both = ChargeNode::Combined(vec![part(3), part(1)]);
+        let (state, node) = both.snapshot();
+        // Both inputs reach one accountant through one ledger: each is
+        // copied once, the ledger with its whole book.
+        assert_eq!(
+            state.roots,
+            [RootBudget {
+                total: 10.0,
+                spent: 0.5
+            }]
+        );
+        assert_eq!(state.ledgers.len(), 1);
+        assert_eq!(state.ledgers[0].book.spends, [0.0, 0.0, 0.0, 0.25]);
+        assert_eq!(state.ledgers[0].book.max, 0.25);
+        assert_eq!(
+            state.nodes[node.0],
+            NodeSpec::Combined(vec![NodeId(2), NodeId(3)])
+        );
+        // The model narrates the segments `describe` renders.
+        let paths: Vec<String> = predict(&state, node, 0.0)
+            .into_iter()
+            .map(|d| d.path)
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                "in[0]/part[3]/scale(x2)/root",
+                "in[1]/part[1]/scale(x2)/root"
+            ]
+        );
+        assert_eq!(
+            both.describe(),
+            "(in[0]:part[3]/scale(x2)/root+in[1]:part[1]/scale(x2)/root)"
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   budgets through it.
 //! * `charge` (crate-internal) — the live charge DAG (`ChargeNode`)
 //!   whose walks mirror [`model::step`]'s `Charge`/`Refund` transitions
-//!   node-for-node.
+//!   node-for-node. Its snapshot compiles the live DAG into a
+//!   [`model::KernelState`] in one walk; EXPLAIN renders that state and
+//!   prices pending charges on it with [`model::predict`], so the DAG
+//!   exists twice — live and in the model — and nowhere else.
 //! * `partition` (crate-internal) — the parallel-composition ledger: a
 //!   [`model::LedgerBook`] behind a mutex.
 //!
@@ -39,7 +42,6 @@ pub(crate) use charge::ChargeNode;
 
 use crate::error::Result;
 use budget::{Accountant, ChargeMeta};
-use model::{LedgerBook, NodeSpec};
 use partition::PartitionLedger;
 use std::sync::Arc;
 
@@ -183,78 +185,6 @@ pub(crate) fn charge_fan_out(
     }
 }
 
-// ---------------------------------------------------------------------
-// Prediction — pure queries answered by compiling snapshots into the
-// model and walking them with `model::predict`.
-// ---------------------------------------------------------------------
-
-/// Predict the per-root `(path, ε)` deltas a charge of `eps` against the
-/// node captured in `tree` would apply, given the budget/ledger values the
-/// snapshot recorded. Pure: compiles the snapshot into a
-/// [`model::KernelState`] and runs the kernel's predict walk, so static
-/// `EXPLAIN` predictions use the same arithmetic as live charges.
-pub(crate) fn predict_tree(tree: &crate::explain::ChargeTree, eps: f64) -> Vec<(String, f64)> {
-    let mut state = model::KernelState::new();
-    let node = compile_tree(tree, &mut state);
-    model::predict(&state, node, eps)
-        .into_iter()
-        .map(|d| (d.path, d.eps))
-        .collect()
-}
-
-/// Compile one snapshot node into `state`, returning its id. Ledger books
-/// are compacted to the single column the snapshot retained (`slot` 0),
-/// with the narrated part index preserved separately — a snapshot only
-/// knows its own part's spend and the overall max, which is exactly what
-/// the forwarding rule needs.
-fn compile_tree(
-    tree: &crate::explain::ChargeTree,
-    state: &mut model::KernelState,
-) -> model::NodeId {
-    use crate::explain::ChargeTree;
-    match tree {
-        ChargeTree::Root { spent, total } => {
-            let root = state.add_root(model::RootBudget {
-                total: *total,
-                spent: *spent,
-            });
-            state.add_node(NodeSpec::Root(root))
-        }
-        ChargeTree::Scaled { factor, child } => {
-            let parent = compile_tree(child, state);
-            state.add_node(NodeSpec::Scaled {
-                parent,
-                factor: *factor,
-            })
-        }
-        ChargeTree::Combined(children) => {
-            let parents = children.iter().map(|c| compile_tree(c, state)).collect();
-            state.add_node(NodeSpec::Combined(parents))
-        }
-        ChargeTree::Part {
-            index,
-            part_spent,
-            max_spent,
-            child,
-            ..
-        } => {
-            let parent = compile_tree(child, state);
-            let ledger = state.add_ledger_book(
-                parent,
-                LedgerBook {
-                    spends: vec![*part_spent],
-                    max: *max_spent,
-                },
-            );
-            state.add_node(NodeSpec::Part {
-                ledger,
-                index: *index,
-                slot: 0,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,21 +222,6 @@ mod tests {
         // Max-of-parts: the source owes 0.1 × scale 2, once.
         assert!((a.spent() - 0.2).abs() < 1e-12);
         assert_eq!(parts[2].describe(), "part[2]/scale(x2)/root");
-    }
-
-    #[test]
-    fn predict_tree_matches_the_live_walk() {
-        let a = Accountant::new(1.0);
-        let ledger = partition_parts(&root_node(&a), 1.0, 2);
-        let parts = [ledger.part(0), ledger.part(1)];
-        let prep = prepare("noisy_count", None);
-        charge_prepared(&parts[0], 0.3, &prep).unwrap();
-        // Part 1 sits below the 0.3 max: a 0.2 charge would forward zero.
-        let predicted = predict_tree(&parts[1].snapshot(), 0.2);
-        assert_eq!(predicted, vec![("part[1]/scale(x1)/root".to_string(), 0.0)]);
-        // Beyond the max only the increase forwards.
-        let beyond = predict_tree(&parts[1].snapshot(), 0.5);
-        assert_eq!(beyond, vec![("part[1]/scale(x1)/root".to_string(), 0.2)]);
     }
 
     /// A fan-out's starting state: a root of budget `total`, pre-spent by
@@ -374,7 +289,7 @@ mod tests {
             charged,
             refusal: booked.err(),
             spent: acct.spent().to_bits(),
-            spends: parts.0.spends().iter().map(|s| s.to_bits()).collect(),
+            spends: parts.0.book().spends.iter().map(|s| s.to_bits()).collect(),
             audit: acct
                 .audit_log()
                 .iter()

@@ -127,37 +127,34 @@ impl LedgerBook {
         }
     }
 
-    /// The spend recorded for `slot` (0.0 for a slot the book never saw —
-    /// compacted snapshots may omit sibling columns).
-    pub fn part_spent(&self, slot: usize) -> f64 {
-        self.spends.get(slot).copied().unwrap_or(0.0)
+    /// The spend recorded for `part`.
+    pub fn part_spent(&self, part: usize) -> f64 {
+        self.spends[part]
     }
 
-    /// The delta a charge of `eps` on `slot` would forward upstream right
+    /// The delta a charge of `eps` on `part` would forward upstream right
     /// now: the increase of the maximum, usually zero for a part spending
     /// under the current max. Pure — this is [`part_forward`] on the
     /// book's current values.
-    pub fn forwardable(&self, slot: usize, eps: f64) -> f64 {
-        part_forward(self.part_spent(slot), self.max, eps)
+    pub fn forwardable(&self, part: usize, eps: f64) -> f64 {
+        part_forward(self.part_spent(part), self.max, eps)
     }
 
-    /// Commit a charge of `eps` on `slot` (the upstream forward having
+    /// Commit a charge of `eps` on `part` (the upstream forward having
     /// succeeded): bump the part and fold it into the max. Only the
     /// incremented part can raise the max, so this is O(1).
-    pub fn commit(&mut self, slot: usize, eps: f64) {
-        self.spends[slot] += eps;
-        self.max = self.spends[slot].max(self.max);
+    pub fn commit(&mut self, part: usize, eps: f64) {
+        self.spends[part] += eps;
+        self.max = self.spends[part].max(self.max);
     }
 
-    /// Undo a charge of `eps` on `slot`, clamping the part at zero.
+    /// Undo a charge of `eps` on `part`, clamping the part at zero.
     /// Returns the decrease of the maximum — the amount the caller must
     /// refund upstream (zero unless the refunded part was holding the max).
     /// The rescan runs only in that case, keeping the common path O(1).
-    pub fn refund(&mut self, slot: usize, eps: f64) -> f64 {
-        let before = self.part_spent(slot);
-        if slot < self.spends.len() {
-            self.spends[slot] = (before - eps).max(0.0);
-        }
+    pub fn refund(&mut self, part: usize, eps: f64) -> f64 {
+        let before = self.spends[part];
+        self.spends[part] = (before - eps).max(0.0);
         if before >= self.max {
             let new_max = self.spends.iter().cloned().fold(0.0, f64::max);
             if new_max < self.max {
@@ -228,7 +225,9 @@ pub struct LedgerId(pub usize);
 
 /// One charge-DAG node, by value. Mirrors the live crate-internal
 /// `ChargeNode` shape, with `Arc` pointers replaced by
-/// arena ids so the whole topology is a plain cloneable value.
+/// arena ids so the whole topology is a plain cloneable value. EXPLAIN
+/// snapshots are states built from these nodes: the live DAG compiled
+/// node for node, with every ledger's whole book.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeSpec {
     /// Charges land directly on a root budget.
@@ -246,12 +245,9 @@ pub enum NodeSpec {
     Part {
         /// The ledger mediating this part.
         ledger: LedgerId,
-        /// Part index as narrated in charge paths (`part[index]`).
+        /// Part index: the ledger book's column for this part, narrated
+        /// as `part[index]` in charge paths.
         index: usize,
-        /// Column of the ledger book holding this part's spend. Equal to
-        /// `index` for live states; compacted snapshots (built from an
-        /// explain tree that only kept one part's column) may remap it.
-        slot: usize,
     },
 }
 
@@ -306,13 +302,11 @@ impl KernelState {
     /// id. Use [`KernelState::add_node`] with [`NodeSpec::Part`] to expose
     /// its parts as chargeable nodes.
     pub fn add_ledger(&mut self, parent: NodeId, parts: usize) -> LedgerId {
-        self.add_ledger_book(parent, LedgerBook::new(parts))
-    }
-
-    /// Add a ledger with an explicit pre-populated book (snapshot compiles).
-    pub fn add_ledger_book(&mut self, parent: NodeId, book: LedgerBook) -> LedgerId {
         debug_assert!(parent.0 < self.nodes.len());
-        self.ledgers.push(Ledger { parent, book });
+        self.ledgers.push(Ledger {
+            parent,
+            book: LedgerBook::new(parts),
+        });
         LedgerId(self.ledgers.len() - 1)
     }
 }
@@ -482,13 +476,9 @@ fn walk(
             }
             Ok(())
         }
-        NodeSpec::Part {
-            ledger,
-            index,
-            slot,
-        } => {
+        NodeSpec::Part { ledger, index } => {
             let seg = join_path(path, &seg_part(index));
-            let delta = st.ledgers[ledger.0].book.forwardable(slot, eps);
+            let delta = st.ledgers[ledger.0].book.forwardable(index, eps);
             let parent = st.ledgers[ledger.0].parent;
             if delta > 0.0 {
                 walk(st, parent, delta, &seg, mode, out)?;
@@ -498,7 +488,7 @@ fn walk(
                 walk(st, parent, 0.0, &seg, Mode::Predict, out).expect("predict walks cannot fail");
             }
             if mode == Mode::Charge {
-                st.ledgers[ledger.0].book.commit(slot, eps);
+                st.ledgers[ledger.0].book.commit(index, eps);
             }
             Ok(())
         }
@@ -530,12 +520,8 @@ fn walk_refund(st: &mut KernelState, node: NodeId, eps: f64, path: &str, out: &m
                 walk_refund(st, *p, eps, &join_path(path, &seg_in(i)), out);
             }
         }
-        NodeSpec::Part {
-            ledger,
-            index,
-            slot,
-        } => {
-            let upstream = st.ledgers[ledger.0].book.refund(slot, eps);
+        NodeSpec::Part { ledger, index } => {
+            let upstream = st.ledgers[ledger.0].book.refund(index, eps);
             if upstream > 0.0 {
                 let parent = st.ledgers[ledger.0].parent;
                 walk_refund(
@@ -592,12 +578,10 @@ mod tests {
         let p0 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 0,
-            slot: 0,
         });
         let p1 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 1,
-            slot: 1,
         });
         let (st, d0) = step(&st, &Transition::Charge { node: p0, eps: 0.3 }).unwrap();
         assert_eq!(
@@ -643,7 +627,6 @@ mod tests {
         let p = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 1,
-            slot: 1,
         });
         let (st1, _) = step(&st, &Transition::Charge { node: p, eps: 0.4 }).unwrap();
         let (st2, deltas) = step(&st1, &Transition::Refund { node: p, eps: 0.4 }).unwrap();

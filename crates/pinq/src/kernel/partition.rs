@@ -16,8 +16,8 @@ use super::budget::ChargeMeta;
 use super::charge::ChargeNode;
 use super::model::{join_path, seg_part, LedgerBook};
 use crate::error::Result;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::lock;
+use std::sync::{Arc, Mutex};
 
 /// Receives each charged part's index and per-root trace in a traced
 /// [`PartitionLedger::charge_parts`].
@@ -79,7 +79,7 @@ impl PartitionLedger {
         prefix: &str,
         trace: &mut Option<&mut Vec<(String, f64)>>,
     ) -> Result<()> {
-        self.charge_locked(&mut self.book.lock(), index, eps, meta, prefix, trace)
+        self.charge_locked(&mut lock(&self.book), index, eps, meta, prefix, trace)
     }
 
     /// Charge `eps` on parts `0..n`, in order, under one hold of the ledger
@@ -97,7 +97,7 @@ impl PartitionLedger {
         meta: &ChargeMeta,
         mut record: Option<PartTraceSink<'_>>,
     ) -> (usize, Result<()>) {
-        let mut book = self.book.lock();
+        let mut book = lock(&self.book);
         let mut trace = Vec::new();
         for index in 0..n {
             let charged = match record.as_mut() {
@@ -149,7 +149,7 @@ impl PartitionLedger {
     /// The delta a `charge_child(index, eps)` would forward to the parent
     /// right now, given current part spends. Side-effect-free.
     pub(in crate::kernel) fn predict_child(&self, index: usize, eps: f64) -> f64 {
-        self.book.lock().forwardable(index, eps)
+        lock(&self.book).forwardable(index, eps)
     }
 
     /// Undo a previous `charge_child(index, eps)`, refunding the parent for
@@ -172,7 +172,7 @@ impl PartitionLedger {
         meta: &ChargeMeta,
         prefix: &str,
     ) {
-        let mut book = self.book.lock();
+        let mut book = lock(&self.book);
         let upstream = book.refund(index, eps);
         if upstream > 0.0 {
             let path = join_path(prefix, &seg_part(index));
@@ -180,9 +180,10 @@ impl PartitionLedger {
         }
     }
 
-    /// Cumulative spend of each part (explain snapshots / introspection).
-    pub(in crate::kernel) fn spends(&self) -> Vec<f64> {
-        self.book.lock().spends.clone()
+    /// A copy of the whole book, read under one lock: every part's spend
+    /// and the maximum (explain snapshots / introspection).
+    pub(in crate::kernel) fn book(&self) -> LedgerBook {
+        lock(&self.book).clone()
     }
 }
 
@@ -227,7 +228,7 @@ mod tests {
         ledger.charge_child(0, 0.2).unwrap();
         // This would raise the max to 0.5, exceeding the 0.25 budget.
         assert!(ledger.charge_child(1, 0.5).is_err());
-        assert_eq!(ledger.spends(), vec![0.2, 0.0]);
+        assert_eq!(ledger.book().spends, vec![0.2, 0.0]);
         assert!((acct.spent() - 0.2).abs() < 1e-12);
     }
 
@@ -273,7 +274,7 @@ mod tests {
         // Beyond the max: only the increase is forwarded.
         assert!((ledger.predict_child(1, 0.5) - 0.1).abs() < 1e-12);
         // Prediction left everything untouched.
-        assert_eq!(ledger.spends(), vec![0.4, 0.0]);
+        assert_eq!(ledger.book().spends, vec![0.4, 0.0]);
         assert!((acct.spent() - 0.4).abs() < 1e-12);
     }
 

@@ -73,12 +73,20 @@ pub mod types;
 
 pub use kernel::budget;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, going on past poisoning: a panic in another holder does not
+/// make later locks fail. The one way this crate takes a lock.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub use budget::{Accountant, OperatorTotal, SpendEvent, DEFAULT_LOG_CAPACITY};
 pub use error::{Error, Result};
 pub use exec::{ExecCtx, ExecPool};
 pub use explain::{
-    install_explain_recorder, uninstall_explain_recorder, ChargeTree, ExplainRecorder,
-    ExplainReport, ExplainTree, Overlay,
+    install_explain_recorder, uninstall_explain_recorder, ExplainRecorder, ExplainReport,
+    ExplainTree, Overlay,
 };
 pub use policy::{Session, SessionManager, SessionSpend, TimedRelease};
 pub use queryable::Queryable;

@@ -27,13 +27,13 @@
 use crate::budget::Accountant;
 use crate::exec::{ExecCtx, ExecPool};
 use crate::kernel::model::RootBudget;
+use crate::lock;
 use crate::queryable::Queryable;
 use crate::rng::NoiseSource;
 use dpnet_obs::{now_ns, Event, SessionEvent};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Owner-side registry mediating one protected dataset for many analysts.
 ///
@@ -233,7 +233,7 @@ impl<T> SessionManager<T> {
     /// The accountant of one analyst, creating it on first use and
     /// restoring it, with its exact spend, when the analyst was idle.
     pub fn analyst_budget(&self, analyst: &str) -> Accountant {
-        let mut analysts = self.analysts.lock();
+        let mut analysts = lock(&self.analysts);
         let book = analysts
             .entry(Box::from(analyst))
             .or_insert(AnalystBook::Idle(0.0));
@@ -255,7 +255,7 @@ impl<T> SessionManager<T> {
     /// ε spent by `analyst`. An analyst whose accountant nothing else
     /// holds goes idle here.
     fn settle(&self, analyst: &str) -> f64 {
-        let mut analysts = self.analysts.lock();
+        let mut analysts = lock(&self.analysts);
         let Some(book) = analysts.get_mut(analyst) else {
             return 0.0;
         };
@@ -272,8 +272,7 @@ impl<T> SessionManager<T> {
 
     /// ε spent by `analyst`, without reviving an idle analyst.
     fn analyst_spent(&self, analyst: &str) -> f64 {
-        self.analysts
-            .lock()
+        lock(&self.analysts)
             .get(analyst)
             .map_or(0.0, AnalystBook::spent)
     }
@@ -313,7 +312,7 @@ impl<T> SessionManager<T> {
         )
         .with_ctx(ExecCtx::pool(&self.pool))
         .with_label(&format!("{analyst}#{id}"));
-        self.open.lock().insert(id, (name.clone(), acct.clone()));
+        lock(&self.open).insert(id, (name.clone(), acct.clone()));
         self.global.sink_handle().emit(|| {
             Event::Session(SessionEvent {
                 session_id: id,
@@ -342,7 +341,7 @@ impl<T> SessionManager<T> {
     /// [`Session`] was dropped before closing, and the analyst has no
     /// other session), the analyst goes idle: only their spent ε is kept.
     pub fn close(&self, id: u64) -> Option<SessionSpend> {
-        let (name, acct) = self.open.lock().remove(&id)?;
+        let (name, acct) = lock(&self.open).remove(&id)?;
         let analyst_spent = self.settle(&name);
         let spend = SessionSpend {
             session_id: id,
@@ -367,15 +366,13 @@ impl<T> SessionManager<T> {
 
     /// Number of currently open (lifecycle-tracked) sessions.
     pub fn open_sessions(&self) -> usize {
-        self.open.lock().len()
+        lock(&self.open).len()
     }
 
     /// Point-in-time budget readings for every open session, sorted by
     /// session id — the owner's live view of who is spending what.
     pub fn open_session_spends(&self) -> Vec<SessionSpend> {
-        let mut out: Vec<SessionSpend> = self
-            .open
-            .lock()
+        let mut out: Vec<SessionSpend> = lock(&self.open)
             .iter()
             .map(|(&id, (name, acct))| SessionSpend {
                 session_id: id,
@@ -393,9 +390,7 @@ impl<T> SessionManager<T> {
 
     /// Names of analysts who have opened sessions, with their spends.
     pub fn ledger(&self) -> Vec<(String, f64)> {
-        let mut out: Vec<(String, f64)> = self
-            .analysts
-            .lock()
+        let mut out: Vec<(String, f64)> = lock(&self.analysts)
             .iter()
             .map(|(name, book)| (name.to_string(), book.spent()))
             .collect();
@@ -410,7 +405,7 @@ impl<T> std::fmt::Debug for SessionManager<T> {
             .field("global_spent", &self.global.spent())
             .field("global_total", &self.global.total())
             .field("per_analyst_cap", &self.per_analyst_cap)
-            .field("open_sessions", &self.open.lock().len())
+            .field("open_sessions", &lock(&self.open).len())
             .finish_non_exhaustive()
     }
 }
@@ -444,7 +439,7 @@ impl TimedRelease {
     /// Advance the logical clock to `epoch`, granting for every epoch that
     /// passed. Idempotent for equal or earlier epochs.
     pub fn advance_to(&self, epoch: u64) {
-        let mut cur = self.current_epoch.lock();
+        let mut cur = lock(&self.current_epoch);
         if epoch <= *cur {
             return;
         }
@@ -461,7 +456,7 @@ impl TimedRelease {
 
     /// The epoch the policy has been advanced to.
     pub fn epoch(&self) -> u64 {
-        *self.current_epoch.lock()
+        *lock(&self.current_epoch)
     }
 }
 
@@ -646,7 +641,7 @@ mod tests {
     }
 
     fn is_idle(m: &SessionManager<u32>, analyst: &str) -> bool {
-        matches!(m.analysts.lock().get(analyst), Some(AnalystBook::Idle(_)))
+        matches!(lock(&m.analysts).get(analyst), Some(AnalystBook::Idle(_)))
     }
 
     /// Open a session for `analyst`, spend `eps` through it, drop it and

@@ -40,6 +40,7 @@ use crate::exec::{ExecCtx, ExecPool};
 use crate::explain::{ExplainTree, OpNode};
 use crate::group;
 use crate::kernel::{self, ChargeNode};
+use crate::lock;
 use crate::plan::{LazyPlan, Runner, View};
 use crate::rng::NoiseSource;
 use crate::shard::Shards;
@@ -49,11 +50,10 @@ use dpnet_obs::span;
 use dpnet_obs::{
     now_ns, AggregateEvent, Event, EventSink, ExecEvent, Outcome, PlanEvent, TransformEvent,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An Fx-style hasher (one add and multiply per word, a rotate on finish,
 /// as in `rustc-hash`) for the key index of a partition fan-out, which
@@ -502,6 +502,7 @@ impl<T> Queryable<T> {
     /// the arithmetic to predict what any pending aggregation would cost.
     /// Nothing is charged and nothing materializes.
     pub fn explain(&self) -> ExplainTree {
+        let (charge, node) = self.charge.snapshot();
         ExplainTree {
             label: self.label.as_deref().map(str::to_string),
             stability: self.stability,
@@ -515,7 +516,8 @@ impl<T> Queryable<T> {
             },
             materialized: matches!(self.view(), View::Source(_)),
             lineage: self.lineage.clone(),
-            charge: self.charge.snapshot(),
+            charge,
+            node,
         }
     }
 
@@ -959,7 +961,7 @@ impl<T> Queryable<T> {
         let mut part_of = vec![NO_PART; records.len()];
         let tasks: Vec<Mutex<&mut [u32]>> = part_of.chunks_mut(chunk).map(Mutex::new).collect();
         self.pool.run(&tasks, |t, task| {
-            let mut task = task.lock();
+            let mut task = lock(task);
             let range = t * chunk..t * chunk + task.len();
             let mut slots = task.iter_mut();
             records.for_range(range, &mut |rec| {
@@ -1065,7 +1067,7 @@ impl<T> Queryable<T> {
             .map(Mutex::new)
             .collect();
         self.pool.run(&tasks, |t, row| {
-            let mut row = row.lock();
+            let mut row = lock(row);
             src.walk(t * domain / rows..(t + 1) * domain / rows, &mut |rec| {
                 if let Some(&i) = index_of.get(&key_fn(rec)) {
                     row[i] += 1;
@@ -2139,16 +2141,18 @@ mod tests {
         let tree = parts[1].explain();
         assert_eq!(tree.lineage.op, "partition");
         assert_eq!(tree.lineage.detail.as_deref(), Some("part[1] of 2"));
-        assert_eq!(tree.charge.path(), "part[1]/scale(x1)/root");
+        assert_eq!(tree.predict(0.1)[0].0, "part[1]/scale(x1)/root");
 
         let joined = parts[0].concat(&parts[1]);
         let tree = joined.explain();
         assert_eq!(tree.lineage.op, "concat");
         assert_eq!(tree.lineage.inputs.len(), 2);
         assert!(matches!(
-            tree.charge,
-            crate::explain::ChargeTree::Combined(_)
+            tree.charge.nodes[tree.node.0],
+            crate::kernel::model::NodeSpec::Combined(_)
         ));
+        // Both parts share one ledger, so the snapshot holds it once.
+        assert_eq!(tree.charge.ledgers.len(), 1);
     }
 
     #[test]

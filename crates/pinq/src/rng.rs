@@ -29,11 +29,11 @@
 //! `rand::rngs::StdRng` is a CSPRNG (ChaCha-based), so the default here is
 //! adequate; the seed, of course, must then be kept secret rather than fixed.
 
-use parking_lot::Mutex;
+use crate::lock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// SplitMix64 finalizer: a cheap, well-mixed `u64 -> u64` permutation.
 fn mix64(mut z: u64) -> u64 {
@@ -104,19 +104,19 @@ impl NoiseSource {
 
     /// Draw a uniform sample in `[0, 1)`.
     pub fn uniform(&self) -> f64 {
-        self.inner.lock().gen::<f64>()
+        lock(&self.inner).gen::<f64>()
     }
 
     /// Draw a uniform sample in the open interval `(-0.5, 0.5)`, never
     /// exactly `-0.5` (so that `ln(1 - 2|u|)` stays finite).
     pub fn centered_uniform(&self) -> f64 {
-        centered_uniform(&mut self.inner.lock())
+        centered_uniform(&mut lock(&self.inner))
     }
 
     /// Run a closure with exclusive access to the underlying RNG. Used by
     /// mechanisms that need several draws atomically.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut lock(&self.inner))
     }
 
     /// Derive an independent child source for one parallel task.

@@ -88,12 +88,10 @@ fn shapes() -> Vec<Shape> {
         let p0 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 0,
-            slot: 0,
         });
         let p1 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 1,
-            slot: 1,
         });
         out.push(Shape {
             name: "partition",
@@ -116,12 +114,10 @@ fn shapes() -> Vec<Shape> {
         let p0 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 0,
-            slot: 0,
         });
         let p1 = st.add_node(NodeSpec::Part {
             ledger: l,
             index: 1,
-            slot: 1,
         });
         let c = st.add_node(NodeSpec::Combined(vec![p0, p1]));
         out.push(Shape {
@@ -234,10 +230,12 @@ fn enumerate(shape: &Shape, depth: usize) {
                         }
                         // A successful charge's deltas match what predict
                         // promised on the pre-state — except through a
-                        // `Combined`, where a charge commits earlier
-                        // inputs' ledger books before walking later ones
-                        // while predict (deliberately, like the live
-                        // `predict_into`) reads one frozen state.
+                        // `Combined`: where its inputs share a ledger, a
+                        // charge commits earlier inputs' ledger books
+                        // before walking later ones while predict
+                        // (deliberately, like the live `predict_into` and
+                        // EXPLAIN's `ExplainTree::predict` on a snapshot
+                        // state) reads one frozen state.
                         if let Transition::Charge { node, eps } = t {
                             if !matches!(st.nodes[node.0], NodeSpec::Combined(_)) {
                                 let promised: Vec<(String, f64)> = predict(&st, *node, *eps)
@@ -407,13 +405,7 @@ fn partition_facade_matches_sequential_kernel_replay_at_1_2_8_workers() {
         });
         let ledger = st.add_ledger(scaled, n_parts);
         let part_nodes: Vec<NodeId> = (0..n_parts)
-            .map(|i| {
-                st.add_node(NodeSpec::Part {
-                    ledger,
-                    index: i,
-                    slot: i,
-                })
-            })
+            .map(|i| st.add_node(NodeSpec::Part { ledger, index: i }))
             .collect();
         let mut model = st;
         for &p in &part_nodes {
@@ -484,5 +476,93 @@ proptest! {
 
         prop_assert_eq!(admitted, model_admitted);
         prop_assert_eq!(acct.budget_snapshot().spent, model.roots[0].spent);
+    }
+}
+
+/// The noisy counts `pre` spends on parts of a partition before the chain
+/// goes on through one of them: `(part, ε units)` pairs.
+type PreCharges = Vec<(usize, u32)>;
+
+/// Build a random chain of `partition` / `group_by` / `select_many` over
+/// one or two budgets, charging some parts on the way, and return its
+/// last queryable.
+fn random_chain(budgets: &[&Accountant], ops: &[(u8, usize, usize, PreCharges)]) -> Queryable<u32> {
+    let noise = NoiseSource::seeded(0x5EED);
+    let mut q = Queryable::new_shared(std::sync::Arc::new((0..256).collect()), budgets, &noise);
+    for (kind, a, b, pre) in ops {
+        q = match kind {
+            0 => {
+                let n = *a as u32;
+                let keys: Vec<u32> = (0..n).collect();
+                let mut parts = q.partition(&keys, move |v| v % n).unwrap();
+                for &(part, units) in pre {
+                    parts[part % a].noisy_count(dyadic(units)).unwrap();
+                }
+                parts.swap_remove(b % a)
+            }
+            1 => q.group_by(|v| v % 7).map(|g| g.key),
+            _ => q.select_many(*a, |v| vec![*v; 2]).unwrap(),
+        };
+    }
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// EXPLAIN's prediction is what the charge books: over random chains
+    /// of `partition` (with parts charged first, so later charges are
+    /// absorbed or forward only a max increase), `group_by` and
+    /// `select_many`, on one budget or on a two-budget source, the summed
+    /// `explain().predict(eps)` equals the accountants' `spent()` delta
+    /// after `noisy_count(eps)` bit for bit, and the predicted non-zero
+    /// paths and deltas are exactly the new audit-log entries. Dyadic ε
+    /// keeps every sum exact. (A `Combined` whose inputs share a ledger is
+    /// left out: a charge commits one input's book before walking the
+    /// next, while a prediction reads one frozen state.)
+    #[test]
+    fn explain_predictions_equal_booked_charges(
+        two_budgets in any::<bool>(),
+        ops in proptest::collection::vec(
+            (
+                0u8..3,
+                1usize..6,
+                0usize..6,
+                proptest::collection::vec((0usize..8, 1u32..64), 0..4),
+            ),
+            0..6,
+        ),
+        eps_units in 1u32..64,
+    ) {
+        let a = Accountant::new(1_048_576.0);
+        let b = Accountant::new(1_048_576.0);
+        let budgets: Vec<&Accountant> = if two_budgets { vec![&a, &b] } else { vec![&a] };
+        let q = random_chain(&budgets, &ops);
+        let eps = dyadic(eps_units);
+
+        let predicted = q.explain().predict(eps);
+        let before: Vec<(f64, usize)> =
+            budgets.iter().map(|acct| (acct.spent(), acct.audit_log().len())).collect();
+        q.noisy_count(eps).unwrap();
+
+        let booked: f64 = budgets
+            .iter()
+            .zip(&before)
+            .map(|(acct, (spent, _))| acct.spent() - spent)
+            .sum();
+        let predicted_sum: f64 = predicted.iter().map(|(_, d)| d).sum();
+        prop_assert_eq!(predicted_sum.to_bits(), booked.to_bits(), "{:?}", predicted);
+        let logged: Vec<(String, u64)> = budgets
+            .iter()
+            .zip(&before)
+            .flat_map(|(acct, &(_, len))| acct.audit_log().split_off(len))
+            .map(|e| (e.path.to_string(), e.epsilon.to_bits()))
+            .collect();
+        let forwarded: Vec<(String, u64)> = predicted
+            .into_iter()
+            .filter(|(_, d)| *d > 0.0)
+            .map(|(path, d)| (path, d.to_bits()))
+            .collect();
+        prop_assert_eq!(forwarded, logged);
     }
 }
