@@ -53,10 +53,15 @@ pub fn private_volume_matrix(
     cfg: &AnomalyConfig,
 ) -> Result<Vec<Vec<f64>>> {
     let link_keys: Vec<u16> = (0..cfg.links as u16).collect();
-    let window_keys: Vec<u16> = (0..cfg.windows as u16).collect();
     let rows = records.partition(&link_keys, |r| r.link)?;
     rows.iter()
-        .map(|row| row.partition_noisy_counts(&window_keys, |r| r.window, cfg.eps))
+        .map(|row| {
+            row.partition_noisy_counts_indexed(
+                cfg.windows,
+                |r| Some(usize::from(r.window)),
+                cfg.eps,
+            )
+        })
         .collect()
 }
 

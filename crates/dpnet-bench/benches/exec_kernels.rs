@@ -14,7 +14,7 @@
 //! `exec_group_by` group times the grouping kernel on fig1-shaped
 //! `(flow, seq)` keys, over payload-free tuples and over fig1's own
 //! filtered Hotspot packets, and `exec_fan_out` the fixed cost of one
-//! partitioned noisy count over worm's widest round.
+//! partitioned noisy count over worm's widest round, keyed and indexed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpnet_obs::{install_recorder, uninstall_recorder, TraceRecorder};
@@ -62,9 +62,11 @@ fn bench_partition(c: &mut Criterion) {
     g.finish();
 }
 
-/// One `partition_noisy_counts` of a 1-record input into 131,072 parts:
-/// the histogram is trivial, so this times what a fan-out costs per part
-/// (booking, noise draws, the key index).
+/// One fan-out of a 1-record input into 131,072 parts: the histogram is
+/// trivial, so this times what a fan-out costs per part. The keyed form
+/// pays booking, noise draws and the key index; the indexed form only
+/// booking and noise draws, so the gap between the two cases is the key
+/// index.
 fn bench_fan_out(c: &mut Criterion) {
     let mut g = c.benchmark_group("exec_fan_out");
     g.throughput(Throughput::Elements(u64::from(FAN_OUT_PARTS)));
@@ -72,6 +74,13 @@ fn bench_fan_out(c: &mut Criterion) {
     let keys: Vec<u32> = (0..FAN_OUT_PARTS).collect();
     g.bench_function("partition_noisy_counts_131072_parts", |b| {
         b.iter(|| q.partition_noisy_counts(&keys, |&v| v, 0.1).unwrap().len())
+    });
+    g.bench_function("partition_noisy_counts_indexed_131072_parts", |b| {
+        b.iter(|| {
+            q.partition_noisy_counts_indexed(keys.len(), |&v| Some(v as usize), 0.1)
+                .unwrap()
+                .len()
+        })
     });
     g.finish();
 }

@@ -76,11 +76,11 @@ pub fn cdf_naive(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<
 pub fn cdf_partition(data: &Queryable<usize>, n_buckets: usize, eps: f64) -> Result<Vec<f64>> {
     let phase = span::enter_timed("cdf_partition");
     // Batched fan-out: one shard-parallel histogram pass instead of
-    // materializing 256 single-bucket parts. Charges and noise draws run in
-    // part order through the same partition ledger, so the releases are
-    // bit-identical to the per-part loop this replaces.
-    let keys: Vec<usize> = (0..n_buckets).collect();
-    let counts = data.partition_noisy_counts(&keys, |&v| v, eps)?;
+    // materializing 256 single-bucket parts. A value is its own bucket
+    // index (values past the last bucket are dropped). Charges and noise
+    // draws run in part order through the same partition ledger, so the
+    // releases are bit-identical to the per-part loop this replaces.
+    let counts = data.partition_noisy_counts_indexed(n_buckets, |&v| Some(v), eps)?;
     let mut out = Vec::with_capacity(n_buckets);
     let mut tally = 0.0;
     for c in counts {

@@ -18,12 +18,11 @@
 //! number of records carrying each surviving `B`-byte string.
 
 use dpnet_obs::{emit_phase_global, span};
-use pinq::{Queryable, Result};
+use pinq::{FxBuildHasher, Queryable, Result};
+use std::collections::HashMap;
 
 /// Pack up to 8 prefix bytes into one big-endian `u64` code. Distinct
-/// prefixes of one length map to distinct codes, so at `length ≤ 8` each
-/// extension round can partition on integer keys instead of `Vec<u8>`
-/// allocations.
+/// prefixes of one length map to distinct codes.
 fn pack(bytes: &[u8]) -> u64 {
     debug_assert!(bytes.len() <= 8);
     let mut code = 0u64;
@@ -31,6 +30,17 @@ fn pack(bytes: &[u8]) -> u64 {
         code = (code << 8) | u64::from(b);
     }
     code
+}
+
+/// A record's first `min(len, 8)` bytes, read once for every round of a
+/// `length <= 8` search: the count of bytes read, and the bytes
+/// left-aligned in a big-endian `u64` (zeros past the count). The first
+/// `n` bytes of the record are then `code >> (64 - 8n)`.
+fn head(bytes: &[u8]) -> (u8, u64) {
+    let n = bytes.len().min(8);
+    let mut word = [0u8; 8];
+    word[..n].copy_from_slice(&bytes[..n]);
+    (n as u8, u64::from_be_bytes(word))
 }
 
 /// Configuration for the frequent-string search.
@@ -76,13 +86,20 @@ pub struct FrequentString {
 
 /// Run the iterative prefix-extension search over the bytes `bytes` reads
 /// from each record (records whose bytes are shorter than the configured
-/// length never match any candidate). The bytes are read in place — e.g.
+/// length never match any candidate).
+///
+/// Round `level` counts the parts `0..viable × 256`: part
+/// `v * 256 + b` holds the records whose first `level - 1` bytes are the
+/// `v`-th viable prefix and whose next byte is `b`, found through a map of
+/// at most `max_viable` prefixes. For `length <= 8` each record's first
+/// bytes are read once, into a packed `(len, u64)` buffer every round
+/// walks; longer searches read them in place each round — e.g.
 /// `|p: &Packet| &p.payload` — so a round allocates nothing per record.
 ///
 /// Returns surviving strings sorted by estimated count, descending.
-pub fn frequent_strings<T: Send + Sync>(
+pub fn frequent_strings<T: Send + Sync + 'static>(
     data: &Queryable<T>,
-    bytes: impl Fn(&T) -> &[u8] + Copy + Send + Sync,
+    bytes: impl Fn(&T) -> &[u8] + Copy + Send + Sync + 'static,
     cfg: &FrequentStringsConfig,
 ) -> Result<Vec<FrequentString>> {
     assert!(cfg.length > 0, "string length must be positive");
@@ -91,56 +108,56 @@ pub fn frequent_strings<T: Send + Sync>(
     let mut viable: Vec<Vec<u8>> = vec![Vec::new()];
     let mut counts: Vec<f64> = vec![f64::INFINITY];
     let mut levels_run = 0usize;
+    // Every round of a short search reads the same at most 8 bytes per
+    // record: read them once (a transform; it costs no ε).
+    let packed = (cfg.length <= 8).then(|| data.map(move |r| head(bytes(r))).collect_protected());
 
     for level in 1..=cfg.length {
         levels_run = level;
-        // Candidates: every viable prefix extended by every byte value, in
-        // prefix-then-byte order. One batched partitioned count covers the
-        // whole round — a single histogram pass over the records instead of
-        // materializing up to `max_viable × 256` per-part buffers. Records
-        // too short for a `level`-byte prefix map to a key outside the
-        // candidate list and are dropped, as under `partition`.
-        let round_counts: Vec<f64> = if cfg.length <= 8 {
-            // Fast path: prefixes pack into u64 codes, so each record is
-            // keyed by one shift-or loop and candidate keys cost nothing to
-            // build. `None` marks too-short records; it can never collide
-            // with a candidate code.
-            let mut codes: Vec<Option<u64>> = Vec::with_capacity(viable.len() * 256);
-            for prefix in &viable {
-                let base = pack(prefix) << 8;
-                for b in 0..=255u64 {
-                    codes.push(Some(base | b));
-                }
+        // One partitioned count covers the whole round: every viable
+        // prefix extended by every byte value, in prefix-then-byte order.
+        // Records too short for a `level`-byte prefix, or whose first
+        // `level - 1` bytes are not viable, are dropped, as under
+        // `partition`.
+        let parts = viable.len() * 256;
+        let round_counts: Vec<f64> = match &packed {
+            Some(packed) => {
+                let slot: HashMap<u64, usize, FxBuildHasher> = viable
+                    .iter()
+                    .enumerate()
+                    .map(|(v, p)| (pack(p), v))
+                    .collect();
+                let next = 64 - 8 * level as u32; // the next byte's shift
+                packed.partition_noisy_counts_indexed(
+                    parts,
+                    move |&(len, code)| {
+                        if usize::from(len) < level {
+                            return None;
+                        }
+                        // `checked_shr` reads the empty prefix at level 1.
+                        let prefix = code.checked_shr(next + 8).unwrap_or(0);
+                        let v = slot.get(&prefix)?;
+                        Some(v * 256 + ((code >> next) & 0xff) as usize)
+                    },
+                    cfg.eps_per_level,
+                )?
             }
-            data.partition_noisy_counts(
-                &codes,
-                move |rec: &T| {
-                    let b = bytes(rec);
-                    (b.len() >= level).then(|| pack(&b[..level]))
-                },
-                cfg.eps_per_level,
-            )?
-        } else {
-            let mut candidates: Vec<Vec<u8>> = Vec::with_capacity(viable.len() * 256);
-            for prefix in &viable {
-                for b in 0..=255u8 {
-                    let mut c = prefix.clone();
-                    c.push(b);
-                    candidates.push(c);
-                }
+            None => {
+                let slot: HashMap<&[u8], usize, FxBuildHasher> = viable
+                    .iter()
+                    .enumerate()
+                    .map(|(v, p)| (p.as_slice(), v))
+                    .collect();
+                data.partition_noisy_counts_indexed(
+                    parts,
+                    move |rec: &T| {
+                        let b = bytes(rec).get(..level)?;
+                        let v = slot.get(&b[..level - 1])?;
+                        Some(v * 256 + usize::from(b[level - 1]))
+                    },
+                    cfg.eps_per_level,
+                )?
             }
-            data.partition_noisy_counts(
-                &candidates,
-                move |rec: &T| {
-                    let b = bytes(rec);
-                    if b.len() >= level {
-                        b[..level].to_vec()
-                    } else {
-                        Vec::new() // never a candidate at level ≥ 1
-                    }
-                },
-                cfg.eps_per_level,
-            )?
         };
         // Keep only the strongest candidates (post-processing of released
         // counts — no privacy cost). Candidate `i` is `viable[i / 256]`
@@ -381,6 +398,159 @@ mod tests {
             assert!(!in_place.0.is_empty());
             assert!(in_place.3 > 8 * 256, "{} aggregates", in_place.3);
             assert_eq!(in_place, run(false));
+        }
+    }
+
+    /// The keyed-candidate rounds the indexed search replaced, kept as a
+    /// reference: each round lists every viable prefix extended by every
+    /// byte as a partition key (`u64` codes up to 8 bytes, byte vectors
+    /// beyond) and re-reads each record's bytes through `data`.
+    fn keyed_rounds<T: Send + Sync>(
+        data: &Queryable<T>,
+        bytes: impl Fn(&T) -> &[u8] + Copy + Send + Sync,
+        cfg: &FrequentStringsConfig,
+    ) -> Result<Vec<FrequentString>> {
+        let mut viable: Vec<Vec<u8>> = vec![Vec::new()];
+        let mut counts: Vec<f64> = vec![f64::INFINITY];
+        for level in 1..=cfg.length {
+            let round_counts: Vec<f64> = if cfg.length <= 8 {
+                let mut codes: Vec<Option<u64>> = Vec::new();
+                for prefix in &viable {
+                    let base = pack(prefix) << 8;
+                    codes.extend((0..=255u64).map(|b| Some(base | b)));
+                }
+                data.partition_noisy_counts(
+                    &codes,
+                    move |rec: &T| {
+                        let b = bytes(rec);
+                        (b.len() >= level).then(|| pack(&b[..level]))
+                    },
+                    cfg.eps_per_level,
+                )?
+            } else {
+                let mut candidates: Vec<Vec<u8>> = Vec::new();
+                for prefix in &viable {
+                    for b in 0..=255u8 {
+                        let mut c = prefix.clone();
+                        c.push(b);
+                        candidates.push(c);
+                    }
+                }
+                data.partition_noisy_counts(
+                    &candidates,
+                    move |rec: &T| {
+                        let b = bytes(rec);
+                        if b.len() >= level {
+                            b[..level].to_vec()
+                        } else {
+                            Vec::new()
+                        }
+                    },
+                    cfg.eps_per_level,
+                )?
+            };
+            let mut survivors: Vec<(usize, f64)> = round_counts
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, c)| c > cfg.threshold)
+                .collect();
+            survivors.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            survivors.truncate(cfg.max_viable);
+            viable = survivors
+                .iter()
+                .map(|&(i, _)| {
+                    let mut c = viable[i / 256].clone();
+                    c.push((i % 256) as u8);
+                    c
+                })
+                .collect();
+            counts = survivors.into_iter().map(|(_, c)| c).collect();
+            if viable.is_empty() {
+                break;
+            }
+        }
+        let mut out: Vec<FrequentString> = viable
+            .into_iter()
+            .zip(counts)
+            .filter(|(s, _)| s.len() == cfg.length)
+            .map(|(bytes, noisy_count)| FrequentString { bytes, noisy_count })
+            .collect();
+        out.sort_by(|a, b| b.noisy_count.partial_cmp(&a.noisy_count).unwrap());
+        Ok(out)
+    }
+
+    /// Both record-reading paths — the bytes packed once at length 3 and
+    /// 8, read in place each round at length 10 — release what the
+    /// keyed-candidate rounds release: the same strings with the same
+    /// noisy-count bits, the same ε, as many `Aggregate` events, and the
+    /// noise stream left at the same next draw. The records mix strings
+    /// longer than every length, planted strings sharing long prefixes,
+    /// records shorter than the search (down to empty ones) and random
+    /// bytes, behind a lazy filter, on the calling thread and on a
+    /// 2-worker pool whose chunks split the input.
+    #[test]
+    fn indexed_rounds_match_the_keyed_candidate_rounds() {
+        use dpnet_obs::{Event, MemorySink};
+        use pinq::{ExecCtx, ExecPool};
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let planted: [(&[u8], usize); 6] = [
+            (b"ABCDEFGHIJKL", 700),
+            (b"ABCDEFGHIJ", 300),
+            (b"ABCDEFGXYZ", 400),
+            (b"ABCDEFGH", 250),
+            (b"ABC", 500),
+            (b"", 300),
+        ];
+        for (s, n) in planted {
+            records.extend(std::iter::repeat(s.to_vec()).take(n));
+        }
+        for _ in 0..3000 {
+            let mut r = vec![0u8; rng.gen_range(0..14)];
+            rng.fill(&mut r[..]);
+            records.push(r);
+        }
+        let pool = ExecPool::new(2).unwrap().with_chunk_size(512);
+        for length in [3, 8, 10] {
+            let cfg = FrequentStringsConfig {
+                length,
+                eps_per_level: 0.5,
+                threshold: 150.0,
+                max_viable: 512,
+            };
+            for ctx in [ExecCtx::Sequential, ExecCtx::pool(&pool)] {
+                let run = |indexed: bool| {
+                    let acct = Accountant::new(1e9);
+                    let sink = Arc::new(MemorySink::new());
+                    acct.set_sink(Some(sink.clone()));
+                    let noise = NoiseSource::seeded(31);
+                    let q = Queryable::new(records.clone(), &acct, &noise)
+                        .with_ctx(ctx.clone())
+                        .filter(|r| r.len() != 5);
+                    let found = if indexed {
+                        frequent_strings(&q, Vec::as_slice, &cfg)
+                    } else {
+                        keyed_rounds(&q, Vec::as_slice, &cfg)
+                    }
+                    .unwrap();
+                    let found: Vec<(Vec<u8>, u64)> = found
+                        .into_iter()
+                        .map(|f| (f.bytes, f.noisy_count.to_bits()))
+                        .collect();
+                    let aggregates = sink
+                        .events()
+                        .iter()
+                        .filter(|e| matches!(e, Event::Aggregate(_)))
+                        .count();
+                    let next_draw = noise.uniform().to_bits();
+                    (found, acct.spent().to_bits(), aggregates, next_draw)
+                };
+                let indexed = run(true);
+                assert!(!indexed.0.is_empty(), "length {length}: nothing found");
+                assert_eq!(indexed, run(false), "length {length} {ctx:?}");
+            }
         }
     }
 }

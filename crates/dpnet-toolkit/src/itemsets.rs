@@ -17,7 +17,7 @@
 //! divided by the typical overlap, preserving support *order*.
 
 use dpnet_obs::{emit_phase_global, span};
-use pinq::{Queryable, Result};
+use pinq::{Error, Queryable, Result};
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -69,6 +69,12 @@ where
     let mut results: Vec<FrequentItemset<I>> = Vec::new();
     let mut levels_run = 0usize;
 
+    // Candidates are the parts of a partition, so they must be distinct;
+    // later levels' candidates are deduplicated as they are built.
+    let mut universe = HashSet::new();
+    if !cfg.universe.iter().all(|i| universe.insert(i)) {
+        return Err(Error::DuplicatePartitionKeys);
+    }
     // Every level counts the same records: force a pending fused plan
     // once instead of streaming it again per level.
     let data = data.collect_protected();
@@ -85,9 +91,10 @@ where
             .map(|k| k.iter().cloned().collect())
             .collect();
         // Partition records among the candidates they support, rotating by
-        // record hash to spread the evidence.
-        let counts = data.partition_noisy_counts(
-            &candidates,
+        // record hash to spread the evidence. A record supporting none is
+        // dropped.
+        let counts = data.partition_noisy_counts_indexed(
+            candidates.len(),
             |rec: &BTreeSet<I>| {
                 let matching: Vec<usize> = key_set
                     .iter()
@@ -95,13 +102,8 @@ where
                     .filter(|(_, cand)| cand.is_subset(rec))
                     .map(|(i, _)| i)
                     .collect();
-                if matching.is_empty() {
-                    // A key outside the candidate list: the record is dropped.
-                    Vec::new()
-                } else {
-                    let pick = (stable_hash(rec) as usize) % matching.len();
-                    candidates[matching[pick]].clone()
-                }
+                let pick = (stable_hash(rec) as usize).checked_rem(matching.len())?;
+                Some(matching[pick])
             },
             cfg.eps_per_level,
         )?;

@@ -58,10 +58,11 @@
 //! - `partition`: one `Vec<u32>` of each record's part index, split per
 //!   chunk; the calling thread then sizes each part exactly and fills the
 //!   parts in record order;
-//! - `partition_noisy_counts`: one `min(workers, chunks) × keys` count
+//! - `partition_noisy_counts_indexed` (and its keyed adapter
+//!   `partition_noisy_counts`): one `min(workers, chunks) × parts` count
 //!   matrix, one row per task, summed by the calling thread. When each
-//!   chunk kept its own histogram instead, `frequent_strings`' 131,072
-//!   keys held about 22 one-megabyte histograms alive at once.
+//!   chunk kept its own histogram instead, a 131,072-part frequent-string
+//!   round held about 22 one-megabyte histograms alive at once.
 //!
 //! Privacy semantics are untouched: the pool never talks to the accountant;
 //! kernels charge the same at every worker count, and the budget/ledger

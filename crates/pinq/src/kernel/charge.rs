@@ -134,32 +134,26 @@ impl ChargeNode {
         }
     }
 
-    /// Side-effect-free prediction: the per-root `(full_path, ε)` deltas
-    /// that a `charge_with(eps, …)` issued *now* would apply, given current
-    /// ledger state. Zero-delta entries are kept so callers see every root
-    /// the walk can reach. Nothing is spent anywhere.
-    pub(in crate::kernel) fn predict_into(
-        &self,
-        eps: f64,
-        path: &str,
-        out: &mut Vec<(String, f64)>,
-    ) {
+    /// The trace of a charge absorbed under a partition maximum: a
+    /// `(full_path, 0.0)` entry for every root a walk from this node
+    /// reaches, so per-path call counts stay honest. Zero stays zero
+    /// through every hop (a scaling, or a ledger whose maximum it cannot
+    /// raise), so this narrates paths only: it reads no book and takes no
+    /// lock.
+    pub(in crate::kernel) fn narrate_zero(&self, path: &str, out: &mut Vec<(String, f64)>) {
         match self {
-            ChargeNode::Root(_) => out.push((join_path(path, SEG_ROOT), eps)),
+            ChargeNode::Root(_) => out.push((join_path(path, SEG_ROOT), 0.0)),
             ChargeNode::Scaled { parent, factor } => {
-                parent.predict_into(eps * factor, &join_path(path, &seg_scale(*factor)), out)
+                parent.narrate_zero(&join_path(path, &seg_scale(*factor)), out)
             }
             ChargeNode::Combined(parents) => {
                 for (i, p) in parents.iter().enumerate() {
-                    p.predict_into(eps, &join_path(path, &seg_in(i)), out);
+                    p.narrate_zero(&join_path(path, &seg_in(i)), out);
                 }
             }
-            ChargeNode::PartitionPart { ledger, index } => {
-                let delta = ledger.predict_child(*index, eps);
-                ledger
-                    .parent()
-                    .predict_into(delta, &join_path(path, &seg_part(*index)), out);
-            }
+            ChargeNode::PartitionPart { ledger, index } => ledger
+                .parent()
+                .narrate_zero(&join_path(path, &seg_part(*index)), out),
         }
     }
 
@@ -409,32 +403,43 @@ mod tests {
     }
 
     #[test]
-    fn predict_matches_what_a_charge_would_apply() {
+    fn zero_narration_matches_an_absorbed_charge_trace() {
         let acct = Accountant::new(10.0);
         let root = Arc::new(ChargeNode::Root(acct.clone()));
-        let ledger = Arc::new(crate::kernel::partition::PartitionLedger::new(root, 2));
-        let part = ChargeNode::PartitionPart {
+        let scaled = Arc::new(ChargeNode::Scaled {
+            parent: root.clone(),
+            factor: 2.0,
+        });
+        let ledger = Arc::new(crate::kernel::partition::PartitionLedger::new(scaled, 2));
+        let part = |index| ChargeNode::PartitionPart {
             ledger: ledger.clone(),
-            index: 1,
+            index,
         };
-        let mut predicted = Vec::new();
-        part.predict_into(0.4, "", &mut predicted);
-        assert_eq!(predicted, vec![("part[1]/root".to_string(), 0.4)]);
-        // Prediction is free.
+        let both = ChargeNode::Combined(vec![Arc::new(part(1)), root]);
+        let mut narrated = Vec::new();
+        both.narrate_zero("", &mut narrated);
+        assert_eq!(
+            narrated,
+            vec![
+                ("in[0]/part[1]/scale(x2)/root".to_string(), 0.0),
+                ("in[1]/root".to_string(), 0.0)
+            ]
+        );
+        // Narrating is free.
         assert_eq!(acct.spent(), 0.0);
         assert_eq!(ledger.book().spends, vec![0.0, 0.0]);
 
-        // After really charging, a second identical charge predicts the
-        // same delta a real walk would forward (full eps again: max grows).
-        part.charge(0.4).unwrap();
-        let mut again = Vec::new();
-        part.predict_into(0.4, "", &mut again);
-        assert_eq!(again, vec![("part[1]/root".to_string(), 0.4)]);
-        // The *other* part predicts a zero delta up to the current max.
-        let sibling = ChargeNode::PartitionPart { ledger, index: 0 };
-        let mut free = Vec::new();
-        sibling.predict_into(0.4, "", &mut free);
-        assert_eq!(free, vec![("part[0]/root".to_string(), 0.0)]);
+        // A charge absorbed under the max traces exactly that narration.
+        let meta = ChargeMeta::new("noisy_count", None);
+        part(0).charge(0.4).unwrap();
+        let mut traced = Vec::new();
+        part(1)
+            .charge_traced(0.3, &meta, "", &mut Some(&mut traced))
+            .unwrap();
+        let mut narrated = Vec::new();
+        part(1).narrate_zero("", &mut narrated);
+        assert_eq!(traced, narrated);
+        assert_eq!(traced, vec![("part[1]/scale(x2)/root".to_string(), 0.0)]);
     }
 
     #[test]

@@ -375,13 +375,22 @@ pub struct RootDelta {
     pub eps: f64,
 }
 
-/// Whether a walk really spends or merely predicts.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
+/// The state a walk runs against: a successor it really spends on, or a
+/// borrowed state it merely predicts on.
+enum Walk<'a> {
     /// Enforce budgets, commit ledger books, roll back combined failures.
-    Charge,
+    Charge(&'a mut KernelState),
     /// Read-only: same deltas and paths, no mutation, cannot fail.
-    Predict,
+    Predict(&'a KernelState),
+}
+
+impl Walk<'_> {
+    fn state(&self) -> &KernelState {
+        match self {
+            Walk::Charge(st) => st,
+            Walk::Predict(st) => st,
+        }
+    }
 }
 
 /// Apply one transition to `state`, returning the successor state and the
@@ -394,7 +403,7 @@ pub fn step(state: &KernelState, transition: &Transition) -> Result<(KernelState
     let mut deltas = Vec::new();
     match transition {
         Transition::Charge { node, eps } => {
-            walk(&mut next, *node, *eps, "", Mode::Charge, &mut deltas)?;
+            walk(&mut Walk::Charge(&mut next), *node, *eps, "", &mut deltas)?;
         }
         Transition::Refund { node, eps } => {
             walk_refund(&mut next, *node, *eps, "", &mut deltas);
@@ -421,29 +430,26 @@ pub fn step(state: &KernelState, transition: &Transition) -> Result<(KernelState
 /// Zero-delta entries are kept so callers see every root the walk reaches.
 pub fn predict(state: &KernelState, node: NodeId, eps: f64) -> Vec<RootDelta> {
     let mut out = Vec::new();
-    // A predict walk cannot fail and never writes; the clone-free borrow is
-    // safe because Mode::Predict takes no &mut paths.
-    let mut scratch = state.clone();
-    walk(&mut scratch, node, eps, "", Mode::Predict, &mut out).expect("predict walks cannot fail");
+    // A predict walk borrows the state: it cannot write, so it cannot fail.
+    walk(&mut Walk::Predict(state), node, eps, "", &mut out).expect("predict walks cannot fail");
     out
 }
 
 /// The one charge walk: narrates the path, scales through `Scaled`,
 /// iterates `Combined` transactionally, and applies max-of-parts
-/// forwarding at `Part` nodes. `Mode::Predict` computes identical deltas
-/// while guaranteeing no mutation and no failure.
+/// forwarding at `Part` nodes. A [`Walk::Predict`] computes identical
+/// deltas on a state it only reads, so it cannot fail.
 fn walk(
-    st: &mut KernelState,
+    w: &mut Walk<'_>,
     node: NodeId,
     eps: f64,
     path: &str,
-    mode: Mode,
     out: &mut Vec<RootDelta>,
 ) -> Result<()> {
-    match st.nodes[node.0].clone() {
+    match w.state().nodes[node.0].clone() {
         NodeSpec::Root(root) => {
             let full = join_path(path, SEG_ROOT);
-            if mode == Mode::Charge {
+            if let Walk::Charge(st) = w {
                 st.roots[root.0].try_charge(eps)?;
             }
             out.push(RootDelta {
@@ -454,22 +460,24 @@ fn walk(
             Ok(())
         }
         NodeSpec::Scaled { parent, factor } => walk(
-            st,
+            w,
             parent,
             eps * factor,
             &join_path(path, &seg_scale(factor)),
-            mode,
             out,
         ),
         NodeSpec::Combined(parents) => {
             for (i, p) in parents.iter().enumerate() {
                 let seg = join_path(path, &seg_in(i));
-                if let Err(e) = walk(st, *p, eps, &seg, mode, out) {
+                if let Err(e) = walk(w, *p, eps, &seg, out) {
                     // Transactional rollback: refund the parents already
                     // charged so a failed multi-input aggregation is free.
-                    let mut discard = Vec::new();
-                    for (j, q) in parents[..i].iter().enumerate() {
-                        walk_refund(st, *q, eps, &join_path(path, &seg_in(j)), &mut discard);
+                    // Only a charge walk fails, so `w` is one here.
+                    if let Walk::Charge(st) = w {
+                        let mut discard = Vec::new();
+                        for (j, q) in parents[..i].iter().enumerate() {
+                            walk_refund(st, *q, eps, &join_path(path, &seg_in(j)), &mut discard);
+                        }
                     }
                     return Err(e);
                 }
@@ -478,16 +486,17 @@ fn walk(
         }
         NodeSpec::Part { ledger, index } => {
             let seg = join_path(path, &seg_part(index));
-            let delta = st.ledgers[ledger.0].book.forwardable(index, eps);
-            let parent = st.ledgers[ledger.0].parent;
+            let delta = w.state().ledgers[ledger.0].book.forwardable(index, eps);
+            let parent = w.state().ledgers[ledger.0].parent;
             if delta > 0.0 {
-                walk(st, parent, delta, &seg, mode, out)?;
+                walk(w, parent, delta, &seg, out)?;
             } else {
                 // Absorbed under the current max: narrate zero deltas for
                 // every root upstream, keeping per-path call counts honest.
-                walk(st, parent, 0.0, &seg, Mode::Predict, out).expect("predict walks cannot fail");
+                walk(&mut Walk::Predict(w.state()), parent, 0.0, &seg, out)
+                    .expect("predict walks cannot fail");
             }
-            if mode == Mode::Charge {
+            if let Walk::Charge(st) = w {
                 st.ledgers[ledger.0].book.commit(index, eps);
             }
             Ok(())

@@ -140,16 +140,10 @@ impl PartitionLedger {
             self.parent.charge_traced(delta, meta, &path, trace)?;
         } else if let Some(t) = trace.as_mut() {
             let path = join_path(prefix, &seg_part(index));
-            self.parent.predict_into(0.0, &path, t);
+            self.parent.narrate_zero(&path, t);
         }
         book.commit(index, eps);
         Ok(())
-    }
-
-    /// The delta a `charge_child(index, eps)` would forward to the parent
-    /// right now, given current part spends. Side-effect-free.
-    pub(in crate::kernel) fn predict_child(&self, index: usize, eps: f64) -> f64 {
-        lock(&self.book).forwardable(index, eps)
     }
 
     /// Undo a previous `charge_child(index, eps)`, refunding the parent for
@@ -263,19 +257,6 @@ mod tests {
         }
         // Inner parts are parallel (max 0.5), outer parts parallel again.
         assert!((acct.spent() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predict_child_never_mutates_and_matches_forwarding() {
-        let (acct, ledger) = ledger(1.0, 2);
-        ledger.charge_child(0, 0.4).unwrap();
-        // Under the max: forwarded delta would be zero.
-        assert_eq!(ledger.predict_child(1, 0.3), 0.0);
-        // Beyond the max: only the increase is forwarded.
-        assert!((ledger.predict_child(1, 0.5) - 0.1).abs() < 1e-12);
-        // Prediction left everything untouched.
-        assert_eq!(ledger.book().spends, vec![0.4, 0.0]);
-        assert!((acct.spent() - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! * **Sequential composition** ([`budget`]): costs of successive queries add.
 //! * **Parallel composition** (`Partition`): queries on disjoint parts of a
 //!   [`Queryable::partition`] cost only their maximum. The per-part queries
-//!   run through one fan-out API: [`Queryable::partition_noisy_counts`]
-//!   counts every part in one pass, and [`Queryable::partition_map`] runs
-//!   any other per-part query on the queryable's [`ExecPool`].
+//!   run through one fan-out API:
+//!   [`Queryable::partition_noisy_counts_indexed`] counts every part, by
+//!   position, in one pass ([`Queryable::partition_noisy_counts`] is its
+//!   keyed form), and [`Queryable::partition_map`] runs any other per-part
+//!   query on the queryable's [`ExecPool`].
 //!
 //! ## Guarantee
 //!
@@ -89,6 +91,6 @@ pub use explain::{
     ExplainTree, Overlay,
 };
 pub use policy::{Session, SessionManager, SessionSpend, TimedRelease};
-pub use queryable::Queryable;
+pub use queryable::{FxBuildHasher, Queryable};
 pub use rng::NoiseSource;
 pub use types::{Group, JoinGroup};

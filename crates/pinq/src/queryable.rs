@@ -56,14 +56,20 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// An Fx-style hasher (one add and multiply per word, a rotate on finish,
-/// as in `rustc-hash`) for the key index of a partition fan-out, which
-/// holds up to 131,072 keys per frequent-string round. It is not
-/// DoS-resistant, and need not be: partition keys come from analysis code,
-/// never from the wire, so no adversary picks the key set.
+/// as in `rustc-hash`) for maps probed once per record: the key index of
+/// a keyed partition (worm's candidate payloads, the communication rules'
+/// candidate pairs) and the viable-prefix map of a frequent-string round.
+/// It is not DoS-resistant, and need not be: those keys come from
+/// analysis code or from released counts, never from the wire, so no
+/// adversary picks the key set.
 #[derive(Default)]
-struct FxHasher(u64);
+pub struct FxHasher(u64);
+
+/// Builds [`FxHasher`]s: `HashMap<K, V, FxBuildHasher>`.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 impl Hasher for FxHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
@@ -72,16 +78,19 @@ impl Hasher for FxHasher {
         }
     }
 
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 
-    // `usize` keys and enum discriminants (`Option<u64>` prefix codes)
-    // hash through here; the default would take the byte-slice path.
+    // `usize` keys and enum discriminants hash through here; the default
+    // would take the byte-slice path.
+    #[inline]
     fn write_usize(&mut self, n: usize) {
         self.write_u64(n as u64);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         // The multiply leaves its entropy in the high bits; the table
         // indexes buckets by the low ones.
@@ -90,8 +99,10 @@ impl Hasher for FxHasher {
 }
 
 /// Map each key to its position in `keys`. Shared by
-/// [`Queryable::partition`] and [`Queryable::partition_noisy_counts`].
-fn key_index<K: Eq + Hash>(keys: &[K]) -> Result<HashMap<&K, usize, BuildHasherDefault<FxHasher>>> {
+/// [`Queryable::partition`] and [`Queryable::partition_noisy_counts`], the
+/// keyed forms; callers that already hold positions use
+/// [`Queryable::partition_noisy_counts_indexed`] and build none.
+fn key_index<K: Eq + Hash>(keys: &[K]) -> Result<HashMap<&K, usize, FxBuildHasher>> {
     let mut index_of = HashMap::with_capacity_and_hasher(keys.len(), Default::default());
     for (i, k) in keys.iter().enumerate() {
         if index_of.insert(k, i).is_some() {
@@ -1013,26 +1024,11 @@ impl<T> Queryable<T> {
     /// of **every part** in one pass — the batched form of
     /// [`Queryable::partition`] followed by per-part
     /// [`Queryable::noisy_count`], with identical privacy arithmetic and
-    /// bit-identical releases:
+    /// bit-identical releases. Part `i` is the records whose key is
+    /// `keys[i]`; records whose key is not listed are dropped.
     ///
-    /// - the budget sees the same `PartitionLedger` with the same parent
-    ///   scaling, charged once per part *in part order* with the same
-    ///   `noisy_count` provenance, so ε accounting, explain traces, and
-    ///   failure behavior (parts before the failing one stay charged) match
-    ///   the unbatched form exactly. The whole fan-out is one kernel
-    ///   transition (`kernel::charge_fan_out`): one ledger lock, not one
-    ///   per part;
-    /// - noise is drawn from the shared stream once per charged part, in
-    ///   part order, on the calling thread, under one hold of the noise
-    ///   lock — the same draws the unbatched form takes;
-    /// - only a key histogram is computed (streamed over the fused chain
-    ///   when nothing has materialized): the per-part record buffers never
-    ///   exist. A 256-way fan-out costs one pass and 256 integers per pool
-    ///   task instead of 256 allocations;
-    /// - per-part `Aggregate` events are produced only when a sink is
-    ///   bound (only then does the fan-out's span read the clock), and
-    ///   then match the unbatched form's event for event (each part's wall
-    ///   time is its share of the fan-out's).
+    /// This is [`Queryable::partition_noisy_counts_indexed`] over the
+    /// key-list positions; see it for the charges, noise order and events.
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key,
     /// like [`Queryable::partition`].
@@ -1046,8 +1042,63 @@ impl<T> Queryable<T> {
         K: Eq + Hash + Sync,
         T: Send + Sync,
     {
-        let obs = self.observe("partition_noisy_counts");
         let index_of = key_index(keys)?;
+        self.partition_noisy_counts_indexed(keys.len(), |r| index_of.get(&key_fn(r)).copied(), eps)
+    }
+
+    /// Partition into the data-independent parts `0..parts` and release a
+    /// noisy count of **every part** in one pass. `part_of` names a
+    /// record's part by position; a record it maps to `None` or to an
+    /// index `>= parts` is dropped, as a key outside the list is under
+    /// [`Queryable::partition_noisy_counts`]. Callers whose parts already
+    /// are positions (histogram buckets, time windows, a prefix's slot in
+    /// a candidate table) skip building and probing a key index.
+    ///
+    /// The privacy arithmetic is that of [`Queryable::partition`] followed
+    /// by per-part [`Queryable::noisy_count`], and the releases are
+    /// bit-identical to it:
+    ///
+    /// - the budget sees the same `PartitionLedger` with the same parent
+    ///   scaling, charged once per part *in part order* with the same
+    ///   `noisy_count` provenance, so ε accounting, explain traces, and
+    ///   failure behavior (parts before the failing one stay charged) match
+    ///   the unbatched form exactly. The whole fan-out is one kernel
+    ///   transition (`kernel::charge_fan_out`): one ledger lock, not one
+    ///   per part;
+    /// - noise is drawn from the shared stream once per charged part, in
+    ///   part order, on the calling thread, under one hold of the noise
+    ///   lock — the same draws the unbatched form takes;
+    /// - only a part histogram is computed (streamed over the fused chain
+    ///   when nothing has materialized): the per-part record buffers never
+    ///   exist. A 256-way fan-out costs one pass and 256 integers per pool
+    ///   task instead of 256 allocations;
+    /// - per-part `Aggregate` events are produced only when a sink is
+    ///   bound (only then does the fan-out's span read the clock), and
+    ///   then match the unbatched form's event for event (each part's wall
+    ///   time is its share of the fan-out's).
+    ///
+    /// ```
+    /// use pinq::{Accountant, NoiseSource, Queryable};
+    ///
+    /// let budget = Accountant::new(1.0);
+    /// let data = Queryable::new((0..1000u32).collect(), &budget, &NoiseSource::seeded(1));
+    /// // Ten buckets of width 100; values past the last bucket are dropped.
+    /// let counts = data
+    ///     .partition_noisy_counts_indexed(10, |&x| Some(x as usize / 100), 0.5)
+    ///     .unwrap();
+    /// assert_eq!(counts.len(), 10);
+    /// assert!((budget.spent() - 0.5).abs() < 1e-12);
+    /// ```
+    pub fn partition_noisy_counts_indexed(
+        &self,
+        parts: usize,
+        part_of: impl Fn(&T) -> Option<usize> + Send + Sync,
+        eps: f64,
+    ) -> Result<Vec<f64>>
+    where
+        T: Send + Sync,
+    {
+        let obs = self.observe("partition_noisy_counts");
         check_epsilon(eps)?;
         if !(self.stability.is_finite() && self.stability > 0.0) {
             return Err(Error::InvalidStability(self.stability));
@@ -1058,31 +1109,30 @@ impl<T> Queryable<T> {
         // so how the spans fall changes no count.
         let (src, domain) = self.stream();
         let chunks = domain.div_ceil(self.pool.chunk_size());
-        let k = keys.len();
         let rows = self.pool.workers().min(chunks);
-        let mut hist = vec![0usize; rows.max(1) * k];
+        let mut hist = vec![0usize; rows.max(1) * parts];
         let tasks: Vec<Mutex<&mut [usize]>> = hist
-            .chunks_mut(k.max(1))
+            .chunks_mut(parts.max(1))
             .take(rows)
             .map(Mutex::new)
             .collect();
         self.pool.run(&tasks, |t, row| {
             let mut row = lock(row);
             src.walk(t * domain / rows..(t + 1) * domain / rows, &mut |rec| {
-                if let Some(&i) = index_of.get(&key_fn(rec)) {
-                    row[i] += 1;
+                if let Some(n) = part_of(rec).and_then(|i| row.get_mut(i)) {
+                    *n += 1;
                 }
             });
         });
         self.emit_exec(&obs, self.pool.workers(), chunks);
         drop(tasks);
-        let (counts, rest) = hist.split_at_mut(k);
-        for row in rest.chunks_exact(k.max(1)) {
+        let (counts, rest) = hist.split_at_mut(parts);
+        for row in rest.chunks_exact(parts.max(1)) {
             for (c, n) in counts.iter_mut().zip(row) {
                 *c += n;
             }
         }
-        hist.truncate(k);
+        hist.truncate(parts);
         let counts = hist;
         obs.span.set_records(counts.iter().sum::<usize>() as u64);
         // The ledger the unbatched form builds in `wrap_parts`: parts
@@ -1090,9 +1140,9 @@ impl<T> Queryable<T> {
         // stability; each part's own stability is 1. One kernel transition
         // books parts in order up to the first refusal, and the charged
         // prefix then draws its noise in part order.
-        let ledger = kernel::partition_parts(&self.charge, self.stability, keys.len());
+        let ledger = kernel::partition_parts(&self.charge, self.stability, parts);
         let prep = kernel::prepare("noisy_count", self.label.clone());
-        let (charged, booked) = kernel::charge_fan_out(&ledger, keys.len(), eps, &prep);
+        let (charged, booked) = kernel::charge_fan_out(&ledger, parts, eps, &prep);
         let released = aggregates::noisy_counts(&self.noise, &counts[..charged], eps)?;
         if let Some(sink) = &obs.sink {
             // Per-part events mirror the unbatched per-part noisy_count:

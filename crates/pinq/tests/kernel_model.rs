@@ -233,9 +233,9 @@ fn enumerate(shape: &Shape, depth: usize) {
                         // `Combined`: where its inputs share a ledger, a
                         // charge commits earlier inputs' ledger books
                         // before walking later ones while predict
-                        // (deliberately, like the live `predict_into` and
-                        // EXPLAIN's `ExplainTree::predict` on a snapshot
-                        // state) reads one frozen state.
+                        // (deliberately, like EXPLAIN's
+                        // `ExplainTree::predict` on a snapshot state)
+                        // reads one frozen state.
                         if let Transition::Charge { node, eps } = t {
                             if !matches!(st.nodes[node.0], NodeSpec::Combined(_)) {
                                 let promised: Vec<(String, f64)> = predict(&st, *node, *eps)
