@@ -704,6 +704,24 @@ mod tests {
     }
 
     #[test]
+    fn experiments_json_is_pinned_for_fixed_events_and_spans() {
+        let mut r = RunReport::new("test");
+        r.record_with_spans("fig1", 5_000_000, &sample_events(), &sample_spans());
+        let json = r.to_json();
+        let start = json.find("\"experiments\":").expect("experiments key");
+        let end = json.find(",\"metrics\":").expect("metrics key");
+        assert_eq!(
+            &json[start..end],
+            "\"experiments\":[{\"id\":\"fig1\",\"wall_ns\":5000000,\"eps_charged\":0.5,\
+             \"phases\":[{\"name\":\"cdf_partition\",\"eps_spent\":0.5,\"wall_ns\":2000000}],\
+             \"attribution\":[\
+             {\"name\":\"plan/materialize\",\"count\":1,\"total_ns\":700,\"self_ns\":700},\
+             {\"name\":\"noisy_count\",\"count\":1,\"total_ns\":900,\"self_ns\":200},\
+             {\"name\":\"noisy_median\",\"count\":1,\"total_ns\":80,\"self_ns\":80}]}]"
+        );
+    }
+
+    #[test]
     fn unprofiled_reports_have_empty_attribution() {
         let mut r = RunReport::new("test");
         r.record("fig1", 1_000, &[]);

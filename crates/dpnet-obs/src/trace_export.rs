@@ -302,6 +302,34 @@ mod tests {
     }
 
     #[test]
+    fn writer_bytes_are_pinned_for_spans_tracks_and_counters() {
+        // Two tracks (3 named, 4 not), a parent link, a detail, two samples.
+        let spans = vec![span(1, None, "outer", 3), span(2, Some(1), "inner", 4)];
+        let mut names = BTreeMap::new();
+        names.insert(3u64, Arc::from("main"));
+        let records = if cfg!(feature = "trusted-owner") {
+            ",\"records\":7"
+        } else {
+            ""
+        };
+        let expected = format!(
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":3,\"args\":{{\"name\":\"main\"}}}},\
+             {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":4,\"args\":{{\"name\":\"track-4\"}}}},\
+             {{\"name\":\"outer\",\"cat\":\"dpnet\",\"ph\":\"X\",\"ts\":1.5,\"dur\":2.25,\"pid\":1,\"tid\":3,\
+             \"args\":{{\"id\":1,\"self_us\":2.25,\"detail\":\"scale(x2)/root\"{records}}}}},\
+             {{\"name\":\"inner\",\"cat\":\"dpnet\",\"ph\":\"X\",\"ts\":3,\"dur\":2.25,\"pid\":1,\"tid\":4,\
+             \"args\":{{\"id\":2,\"parent\":1,\"self_us\":2.25{records}}}}},\
+             {{\"name\":\"eps spent (root)\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"args\":{{\"eps\":0.1}}}},\
+             {{\"name\":\"eps spent (root)\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{{\"eps\":0.35}}}}\
+             ]}}"
+        );
+        let mut buf = Vec::new();
+        write_chrome_trace_with_counters(&mut buf, &spans, &names, &eps_counters()).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), expected);
+    }
+
+    #[test]
     fn aggregate_rows_become_synthetic_events_on_their_own_lane() {
         use crate::json::{parse_value, JsonValue};
         let aggs = vec![
