@@ -73,16 +73,14 @@
 //! and wall times cannot.
 
 use dpnet_bench::datasets;
-use dpnet_bench::profile::{best_of, run_experiment, IDS};
+use dpnet_bench::profile::{best_of, run_observed, ObservedRun, IDS};
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
 use dpnet_obs::json::{parse_value, JsonValue};
-use dpnet_obs::{set_global_sink, MemorySink};
 use dpnet_trace::flow::FlowKey;
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::process::exit;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// One experiment entry of a run report: the fields the gates read.
 #[derive(Debug, Clone, PartialEq)]
@@ -519,15 +517,15 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
 /// The experiment set the committed baseline covers.
 const BASELINE_IDS: [&str; 3] = ["fig1", "itemsets", "worm"];
 
-/// Run one baseline experiment for `record`, discarding its report text.
-fn run_baseline_experiment(id: &str, pool: &ExecPool) -> Result<(), String> {
+/// Run one baseline experiment for `record`, observing its events.
+fn run_baseline_experiment(id: &str, pool: &ExecPool) -> Result<ObservedRun, String> {
     if !BASELINE_IDS.contains(&id) {
         return Err(format!(
             "unknown baseline experiment id '{id}' (expected one of {})",
             BASELINE_IDS.join(" ")
         ));
     }
-    run_experiment(id, pool).map(|_| ())
+    run_observed(id, pool, false, false)
 }
 
 fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
@@ -543,19 +541,17 @@ fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
             return 2;
         }
     };
-    let sink = Arc::new(MemorySink::new());
-    set_global_sink(Some(sink.clone()));
     let mut report = RunReport::new("baseline");
     report.set_workers(1);
     let mut failed = false;
     for id in &ids {
-        sink.clear();
-        let start = Instant::now();
         match run_baseline_experiment(id, &pool) {
-            Ok(()) => {
-                let wall = start.elapsed();
-                println!("[{id} recorded in {wall:.1?}]");
-                report.record(id, wall.as_nanos() as u64, &sink.drain());
+            Ok(run) => {
+                println!(
+                    "[{id} recorded in {:.1?}]",
+                    Duration::from_nanos(run.wall_ns)
+                );
+                report.record(id, run.wall_ns, &run.events, &run.spans);
             }
             Err(e) => {
                 eprintln!("experiment {id} failed: {e}");
@@ -563,7 +559,6 @@ fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
             }
         }
     }
-    set_global_sink(None);
     if failed {
         return 1;
     }

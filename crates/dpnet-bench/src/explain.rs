@@ -1,8 +1,8 @@
 //! EXPLAIN / EXPLAIN ANALYZE — plan and privacy-cost introspection for the
-//! paper experiments, behind `dpnet explain` and `repro --explain`.
+//! paper experiments, behind `dpnet explain`.
 //!
-//! [`run_explained`] runs one experiment with a [`pinq::ExplainRecorder`]
-//! installed: every successful aggregation charge is folded into an
+//! [`run_explained`] runs one experiment through
+//! [`run_observed`] with a [`pinq::ExplainRecorder`] installed: every successful aggregation charge is folded into an
 //! [`ExplainReport`] — per (operator, charge-path) call counts, the ε the
 //! analyst requested, and the ε *predicted* to reach each budget root
 //! (after max-of-parts absorption). The prediction is the traced per-root
@@ -10,28 +10,19 @@
 //! accountants actually applied — the CI golden diff and the
 //! `explain_integration` test hold it to `Accountant::path_totals`.
 //!
-//! With `analyze: true`, the run also installs the span profiler and a
-//! [`MemorySink`], and folds measured reality into a [`pinq::Overlay`]:
+//! With `analyze: true`, the run also installs the span profiler, and the
+//! captured events and spans fold into a [`pinq::Overlay`]:
 //! net ε per charge path (from the accountant's charge events), span
 //! self-time per operator, and plan-materialization counts. The optional
 //! Chrome trace gains one `"ph":"C"` counter track per budget — the ε
 //! burn-down, rendered by Perfetto as a stepped chart next to the worker
 //! lanes.
 
-use crate::profile::run_experiment;
-use dpnet_obs::{
-    attribution, install_recorder, set_global_sink, uninstall_recorder, CompletedSpan,
-    CounterSample, Event, MemorySink, TraceRecorder,
-};
+use crate::profile::{run_observed, write_trace};
+use dpnet_obs::{attribution, CompletedSpan, CounterSample, Event};
 use pinq::explain::normalize_path;
-use pinq::{
-    install_explain_recorder, uninstall_explain_recorder, ExecPool, ExplainRecorder, ExplainReport,
-    Overlay,
-};
-use std::io::BufWriter;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
+use pinq::{ExecPool, ExplainReport, Overlay};
+use std::path::PathBuf;
 
 /// How an explain report should be rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,38 +93,15 @@ impl ExplainOutcome {
 /// and attach the measured overlay.
 pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
     let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
-    let rec = Arc::new(ExplainRecorder::new());
-    install_explain_recorder(rec.clone());
-    let observers = cfg.analyze.then(|| {
-        let sink = Arc::new(MemorySink::new());
-        set_global_sink(Some(sink.clone()));
-        let tracer = Arc::new(TraceRecorder::new());
-        install_recorder(tracer.clone());
-        (sink, tracer)
-    });
-
-    let start = Instant::now();
-    let result = run_experiment(&cfg.experiment, &pool);
-    let wall_ns = (start.elapsed().as_nanos() as u64).max(1);
-
-    if observers.is_some() {
-        uninstall_recorder();
-        set_global_sink(None);
-    }
-    uninstall_explain_recorder();
-    let output = result?;
-
-    let mut report = rec.report();
-    report.title = cfg.experiment.clone();
+    let run = run_observed(&cfg.experiment, &pool, cfg.analyze, true)?;
+    let report = run.explain.expect("the explain recorder was installed");
 
     let mut overlay = None;
     let mut trace_path = None;
-    if let Some((sink, tracer)) = observers {
-        let events = sink.drain();
-        let spans = tracer.take();
-        let (folded, counters) = fold_overlay(&events, &spans, wall_ns);
+    if cfg.analyze {
+        let (folded, counters) = fold_overlay(&run.events, &run.spans, run.wall_ns);
         if let Some(path) = &cfg.trace_out {
-            write_analyze_trace(path, &spans, &tracer, &counters)?;
+            write_trace(path, &run.spans, &run.track_names, &counters)?;
             trace_path = Some(path.clone());
         }
         overlay = Some(folded);
@@ -141,7 +109,7 @@ pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
     Ok(ExplainOutcome {
         report,
         overlay,
-        output,
+        output: run.output,
         trace_path,
     })
 }
@@ -186,27 +154,6 @@ pub fn fold_overlay(
         *overlay.self_ns.entry(row.name).or_default() += row.self_ns;
     }
     (overlay, counters)
-}
-
-fn write_analyze_trace(
-    path: &Path,
-    spans: &[CompletedSpan],
-    tracer: &TraceRecorder,
-    counters: &[CounterSample],
-) -> Result<(), String> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let file = std::fs::File::create(path)
-        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    dpnet_obs::write_chrome_trace_with_counters(
-        BufWriter::new(file),
-        spans,
-        &tracer.track_names(),
-        counters,
-    )
-    .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]

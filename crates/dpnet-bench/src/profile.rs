@@ -1,11 +1,14 @@
-//! Profiled experiment runs — the shared dispatcher behind the `repro`
-//! binary and the `dpnet profile` command.
+//! Observed experiment runs — the shared dispatcher behind `repro`,
+//! `bench_guard record`, `dpnet profile` and `dpnet explain`.
 //!
 //! [`run_experiment`] maps an experiment id to its implementation in
-//! [`crate::experiments`]; [`run_profiled`] runs one experiment under an
-//! installed [`TraceRecorder`], folds the captured spans into a
-//! [`RunReport`] (per-operator time attribution in `BENCH_<id>-wN.json`),
-//! and optionally writes a Chrome-trace/Perfetto JSON of the run.
+//! [`crate::experiments`]. [`run_observed`] is the one way to run an
+//! experiment under observers: it binds a [`MemorySink`], optionally
+//! installs the span and explain recorders, times the run, uninstalls
+//! everything and hands back what was captured. [`run_profiled`] folds
+//! such a run into a [`RunReport`] (per-operator time attribution in
+//! `BENCH_<id>-wN.json`) and optionally writes a Chrome-trace/Perfetto
+//! JSON of the run.
 //!
 //! When an overhead ceiling is requested, the experiment runs once
 //! untimed to warm the dataset caches, then three times *unprofiled* and
@@ -16,11 +19,15 @@
 use crate::datasets;
 use crate::experiments as exp;
 use crate::report::RunReport;
+use dpnet_obs::span::current_track;
 use dpnet_obs::{
-    install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace_aggregated,
-    AggregatedSpans, MemorySink, SpanMode, TraceRecorder,
+    install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace, CompletedSpan,
+    CounterSample, Event, MemorySink, TraceRecorder,
 };
-use pinq::ExecPool;
+use pinq::{
+    install_explain_recorder, uninstall_explain_recorder, ExecPool, ExplainRecorder, ExplainReport,
+};
+use std::collections::BTreeMap;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -75,6 +82,91 @@ pub fn run_experiment(id: &str, pool: &ExecPool) -> Result<String, String> {
     }
 }
 
+/// What one [`run_observed`] call captured.
+pub struct ObservedRun {
+    /// The experiment's own printable output.
+    pub output: String,
+    /// Wall time of the experiment, ns (at least 1).
+    pub wall_ns: u64,
+    /// Every event the run emitted.
+    pub events: Vec<Event>,
+    /// Completed spans; empty unless the span recorder was installed.
+    pub spans: Vec<CompletedSpan>,
+    /// Display names of the spans' tracks.
+    pub track_names: BTreeMap<u64, Arc<str>>,
+    /// Wall time outside the root spans of the calling thread's track, ns;
+    /// `None` when no span was recorded.
+    pub unattributed_ns: Option<u64>,
+    /// The folded charge predictions, titled with the experiment id; `None`
+    /// unless the explain recorder was installed.
+    pub explain: Option<ExplainReport>,
+}
+
+/// Run experiment `id` on `pool` under observers: a fresh [`MemorySink`]
+/// bound as the global event sink, plus a [`TraceRecorder`] when `spans`
+/// and an [`ExplainRecorder`] when `explain`. Everything is uninstalled
+/// before this returns, whether or not the experiment succeeded.
+pub fn run_observed(
+    id: &str,
+    pool: &ExecPool,
+    spans: bool,
+    explain: bool,
+) -> Result<ObservedRun, String> {
+    let sink = Arc::new(MemorySink::new());
+    set_global_sink(Some(sink.clone()));
+    let tracer = spans.then(|| {
+        let rec = Arc::new(TraceRecorder::new());
+        install_recorder(rec.clone());
+        rec
+    });
+    let explainer = explain.then(|| {
+        let rec = Arc::new(ExplainRecorder::new());
+        install_explain_recorder(rec.clone());
+        rec
+    });
+    let (wall_ns, result) = timed(|| run_experiment(id, pool));
+    if tracer.is_some() {
+        uninstall_recorder();
+    }
+    if explainer.is_some() {
+        uninstall_explain_recorder();
+    }
+    set_global_sink(None);
+    let output = result?;
+
+    let (spans, track_names) =
+        tracer.map_or_else(Default::default, |rec| (rec.take(), rec.track_names()));
+    Ok(ObservedRun {
+        output,
+        wall_ns,
+        events: sink.drain(),
+        unattributed_ns: unattributed_ns(wall_ns, &spans, current_track()),
+        spans,
+        track_names,
+        explain: explainer.map(|rec| {
+            let mut report = rec.report();
+            report.title = id.to_string();
+            report
+        }),
+    })
+}
+
+/// `wall_ns` minus the summed durations of the root spans (no parent) on
+/// `track`, saturating at 0; `None` when `spans` is empty. Only one track
+/// counts: worker tracks run alongside the caller's, so their spans
+/// overlap its wall time.
+fn unattributed_ns(wall_ns: u64, spans: &[CompletedSpan], track: u64) -> Option<u64> {
+    if spans.is_empty() {
+        return None;
+    }
+    let rooted: u64 = spans
+        .iter()
+        .filter(|s| s.parent.is_none() && s.track == track)
+        .map(|s| s.dur_ns)
+        .sum();
+    Some(wall_ns.saturating_sub(rooted))
+}
+
 /// What [`run_profiled`] should do.
 pub struct ProfileConfig {
     /// Experiment id (one of [`IDS`]).
@@ -89,12 +181,6 @@ pub struct ProfileConfig {
     /// profiled run is more than `(1 + ceiling)` times slower than the
     /// fastest unprofiled one.
     pub max_overhead: Option<f64>,
-    /// How the recorder treats high-frequency aggregation spans:
-    /// [`SpanMode::Full`] keeps every span; [`SpanMode::Aggregate`] folds
-    /// them into count + total-ns rows per charge path (`--spans agg`),
-    /// which keeps large partitioned runs from materializing millions of
-    /// span records.
-    pub span_mode: SpanMode,
 }
 
 /// Everything one profiled run produced.
@@ -112,10 +198,8 @@ pub struct ProfileOutcome {
     pub profiled_wall_ns: u64,
     /// Wall time of the fastest unprofiled baseline run, when any ran.
     pub baseline_wall_ns: Option<u64>,
-    /// Number of individually recorded spans.
+    /// Number of recorded spans.
     pub spans: usize,
-    /// Number of aggregate rows the recorder folded (aggregate mode only).
-    pub aggregated: usize,
 }
 
 impl ProfileOutcome {
@@ -164,61 +248,32 @@ pub fn best_of<A, B>(
     )
 }
 
-/// What one profiled run captured.
-struct ProfiledRun {
-    output: String,
-    events: Vec<dpnet_obs::Event>,
-    spans: Vec<dpnet_obs::CompletedSpan>,
-    aggs: Vec<AggregatedSpans>,
-    recorder: Arc<TraceRecorder>,
-}
-
 /// Run `cfg.experiment` with the span profiler installed, write the
 /// attribution-bearing report (and optionally a Chrome trace), and check
 /// the overhead ceiling if one was requested.
 pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
     let unprofiled = || run_experiment(&cfg.experiment, &pool);
-    let profiled = || {
-        let sink = Arc::new(MemorySink::new());
-        set_global_sink(Some(sink.clone()));
-        let recorder = Arc::new(TraceRecorder::with_mode(cfg.span_mode));
-        install_recorder(recorder.clone());
-        let result = run_experiment(&cfg.experiment, &pool);
-        uninstall_recorder();
-        set_global_sink(None);
-        result.map(|output| ProfiledRun {
-            output,
-            events: sink.drain(),
-            spans: recorder.take(),
-            aggs: recorder.take_aggregated(),
-            recorder,
-        })
-    };
+    let profiled = || run_observed(&cfg.experiment, &pool, true, false);
 
     // With a ceiling, both sides run warm: one untimed run generates the
     // cached datasets first, so neither side pays for it. Unprofiled runs
     // cost one relaxed atomic load per span.
-    let (baseline_wall_ns, (profiled_wall_ns, run)) = match cfg.max_overhead {
+    let (baseline_wall_ns, run) = match cfg.max_overhead {
         Some(_) => {
             unprofiled()?;
-            let ((base_ns, base), best) = best_of(3, unprofiled, profiled);
+            let ((base_ns, base), (_, best)) = best_of(3, unprofiled, profiled);
             base?;
-            (Some(base_ns), best)
+            (Some(base_ns), best?)
         }
-        None => (None, timed(profiled)),
+        None => (None, profiled()?),
     };
-    let run = run?;
 
     let mut report = RunReport::new(&format!("{}-w{}", cfg.experiment, cfg.workers));
     report.set_workers(cfg.workers);
-    report.record_with_profile(
-        &cfg.experiment,
-        profiled_wall_ns,
-        &run.events,
-        &run.spans,
-        &run.aggs,
-    );
+    report
+        .record(&cfg.experiment, run.wall_ns, &run.events, &run.spans)
+        .unattributed_ns = run.unattributed_ns;
     let attribution = report.render_attribution_report();
     let report_path = report
         .write_json(&cfg.report_dir)
@@ -226,7 +281,7 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
 
     let trace_path = match &cfg.trace_out {
         Some(path) => {
-            write_trace(path, &run.spans, &run.aggs, &run.recorder)?;
+            write_trace(path, &run.spans, &run.track_names, &[])?;
             Some(path.clone())
         }
         None => None,
@@ -237,10 +292,9 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
         attribution,
         report_path,
         trace_path,
-        profiled_wall_ns,
+        profiled_wall_ns: run.wall_ns,
         baseline_wall_ns,
         spans: run.spans.len(),
-        aggregated: run.aggs.len(),
     };
     if let (Some(ceiling), Some(overhead)) = (cfg.max_overhead, outcome.overhead()) {
         if overhead > ceiling {
@@ -257,11 +311,13 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     Ok(outcome)
 }
 
-fn write_trace(
+/// Write `spans` and `counters` as a Chrome trace at `path`, creating its
+/// directory if needed.
+pub(crate) fn write_trace(
     path: &Path,
-    spans: &[dpnet_obs::CompletedSpan],
-    aggs: &[AggregatedSpans],
-    rec: &TraceRecorder,
+    spans: &[CompletedSpan],
+    track_names: &BTreeMap<u64, Arc<str>>,
+    counters: &[CounterSample],
 ) -> Result<(), String> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)
@@ -269,7 +325,7 @@ fn write_trace(
     }
     let file = std::fs::File::create(path)
         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    write_chrome_trace_aggregated(BufWriter::new(file), spans, &rec.track_names(), &[], aggs)
+    write_chrome_trace(BufWriter::new(file), spans, track_names, counters)
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
@@ -299,6 +355,34 @@ mod tests {
     }
 
     #[test]
+    fn unattributed_time_counts_only_the_calling_tracks_root_spans() {
+        let span = |id: u64, parent: Option<u64>, track: u64, dur_ns: u64| CompletedSpan {
+            id,
+            parent,
+            name: "op",
+            detail: None,
+            track,
+            start_ns: 0,
+            dur_ns,
+            child_ns: 0,
+            #[cfg(feature = "trusted-owner")]
+            records: 0,
+        };
+        let spans = [
+            // Calling track 1: two roots (100 + 50 ns) and a nested child.
+            span(1, None, 1, 100),
+            span(2, Some(1), 1, 60),
+            span(3, None, 1, 50),
+            // Worker track 2: its root overlaps track 1 and is not counted.
+            span(4, None, 2, 500),
+        ];
+        assert_eq!(unattributed_ns(300, &spans, 1), Some(150));
+        assert_eq!(unattributed_ns(120, &spans, 1), Some(0), "saturates");
+        assert_eq!(unattributed_ns(300, &spans, 2), Some(0));
+        assert_eq!(unattributed_ns(300, &[], 1), None);
+    }
+
+    #[test]
     fn unknown_ids_are_rejected() {
         let pool = ExecPool::sequential();
         assert!(run_experiment("nope", &pool).is_err());
@@ -314,11 +398,9 @@ mod tests {
             report_dir: dir.clone(),
             trace_out: Some(dir.join("trace.json")),
             max_overhead: None,
-            span_mode: SpanMode::Full,
         };
         let out = run_profiled(&cfg).expect("profiled run");
         assert!(out.spans > 0, "experiment should record spans");
-        assert_eq!(out.aggregated, 0, "full mode folds nothing");
         assert!(!out.attribution.is_empty());
         let report = std::fs::read_to_string(&out.report_path).unwrap();
         assert!(report.contains("\"target\":\"example23-w1\""));
@@ -326,40 +408,6 @@ mod tests {
         let trace = std::fs::read_to_string(out.trace_path.as_ref().unwrap()).unwrap();
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"ph\":\"X\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn aggregate_mode_folds_aggregation_spans_and_still_exports_a_trace() {
-        let _g = global_guard();
-        let dir = std::env::temp_dir().join("dpnet-profile-agg-test");
-        let run = |span_mode| {
-            let cfg = ProfileConfig {
-                experiment: "fig1".to_string(),
-                workers: 1,
-                report_dir: dir.clone(),
-                trace_out: Some(dir.join(format!("trace-{span_mode:?}.json"))),
-                max_overhead: None,
-                span_mode,
-            };
-            run_profiled(&cfg).expect("profiled run")
-        };
-        let full = run(SpanMode::Full);
-        let agg = run(SpanMode::Aggregate);
-        assert!(agg.aggregated > 0, "fig1 charges through aggregation spans");
-        assert!(
-            agg.spans < full.spans,
-            "aggregate mode must store fewer individual spans ({} vs {})",
-            agg.spans,
-            full.spans
-        );
-        // The attribution table still names the folded operators.
-        assert!(agg.attribution.contains("noisy_count"));
-        // The trace stays loadable and gains the dedicated aggregate lane.
-        let trace = std::fs::read_to_string(agg.trace_path.as_ref().unwrap()).unwrap();
-        assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("aggregated spans"));
-        assert!(trace.contains("\"cat\":\"dpnet-agg\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,10 +11,7 @@
 //! for dashboards and regression tracking.
 
 use dpnet_obs::json::{escape, number};
-use dpnet_obs::{
-    attribution_with_aggregates, unix_time_s, AggregatedSpans, AttributionRow, CompletedSpan,
-    Event, MetricsRegistry,
-};
+use dpnet_obs::{attribution, unix_time_s, AttributionRow, CompletedSpan, Event, MetricsRegistry};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -127,6 +124,10 @@ pub struct ExperimentRun {
     /// Per-operator time attribution from profiler spans (top rows by
     /// self-time, descending). Empty when the run was not profiled.
     pub attribution: Vec<AttributionRow>,
+    /// Wall time outside the calling thread's root spans, ns. Set by the
+    /// caller for profiled runs; `None` (and absent from the JSON) when no
+    /// span was recorded.
+    pub unattributed_ns: Option<u64>,
     /// Request-latency percentiles, present only for serving runs
     /// (`dpnet loadtest`). Schema 3.
     pub latency: Option<LatencySummary>,
@@ -171,8 +172,9 @@ pub const ATTRIBUTION_TOP: usize = 10;
 /// 2 = columnar data plane (adds `schema_version`);
 /// 3 = serving architecture (adds the optional per-experiment `latency`
 /// section: request/latency percentiles from `dpnet loadtest`). Schema 3
-/// reports may also carry `nproc`, the CPUs the run could use; readers
-/// treat a missing `nproc` as unknown, so adding it needed no bump.
+/// reports may also carry `nproc`, the CPUs the run could use, and, on a
+/// profiled experiment, `unattributed_ns`; readers treat either one's
+/// absence as unknown, so adding them needed no bump.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Wall time of a fixed CPU-bound spin, measured on this machine right
@@ -237,35 +239,17 @@ impl RunReport {
     }
 
     /// Record one finished experiment and the events captured while it ran.
-    pub fn record(&mut self, id: &str, wall_ns: u64, events: &[Event]) {
-        self.record_with_spans(id, wall_ns, events, &[]);
-    }
-
-    /// [`RunReport::record`], additionally folding profiler spans captured
-    /// during the experiment into a per-operator time-attribution table
-    /// (top [`ATTRIBUTION_TOP`] rows by self-time).
-    pub fn record_with_spans(
+    /// Profiler spans captured during the experiment (if any) fold into a
+    /// per-operator time-attribution table (top [`ATTRIBUTION_TOP`] rows by
+    /// self-time). Returns the recorded run, for fields only the caller
+    /// knows.
+    pub fn record(
         &mut self,
         id: &str,
         wall_ns: u64,
         events: &[Event],
         spans: &[CompletedSpan],
-    ) {
-        self.record_with_profile(id, wall_ns, events, spans, &[]);
-    }
-
-    /// [`RunReport::record_with_spans`] for runs profiled in
-    /// [`dpnet_obs::SpanMode::Aggregate`]: the folded aggregate rows join
-    /// the full spans in the attribution table, so the table is the same
-    /// whichever span mode recorded the run.
-    pub fn record_with_profile(
-        &mut self,
-        id: &str,
-        wall_ns: u64,
-        events: &[Event],
-        spans: &[CompletedSpan],
-        aggs: &[AggregatedSpans],
-    ) {
+    ) -> &mut ExperimentRun {
         let mut phases = Vec::new();
         let mut eps_charged = 0.0;
         for ev in events {
@@ -307,7 +291,7 @@ impl RunReport {
         self.registry
             .histogram("experiment.wall_ns")
             .record_ns(wall_ns);
-        let mut rows = attribution_with_aggregates(spans, aggs);
+        let mut rows = attribution(spans);
         rows.truncate(ATTRIBUTION_TOP);
         self.runs.push(ExperimentRun {
             id: id.to_string(),
@@ -315,8 +299,10 @@ impl RunReport {
             eps_charged,
             phases,
             attribution: rows,
+            unattributed_ns: None,
             latency: None,
         });
+        self.runs.last_mut().expect("just pushed")
     }
 
     /// Record a serving load-test run: latency percentiles instead of
@@ -342,14 +328,15 @@ impl RunReport {
             eps_charged,
             phases: Vec::new(),
             attribution: Vec::new(),
+            unattributed_ns: None,
             latency: Some(latency),
         });
     }
 
     /// The human-readable per-operator time-attribution report: for each
     /// profiled experiment, where the wall-clock actually went (self time,
-    /// i.e. excluding nested spans), descending. Empty string when no run
-    /// was profiled.
+    /// i.e. excluding nested spans), descending, then one line per run
+    /// naming its unattributed time. Empty string when no run was profiled.
     pub fn render_attribution_report(&self) -> String {
         if self.runs.iter().all(|r| r.attribution.is_empty()) {
             return String::new();
@@ -377,11 +364,22 @@ impl RunReport {
                 ]);
             }
         }
-        format!(
+        let mut out = format!(
             "{}{}",
             header("profile", "per-operator self-time attribution"),
             t.render()
-        )
+        );
+        for run in &self.runs {
+            if let Some(ns) = run.unattributed_ns {
+                out.push_str(&format!(
+                    "unattributed {}: {} of {} wall outside the calling thread's root spans\n",
+                    run.id,
+                    ms(ns),
+                    ms(run.wall_ns)
+                ));
+            }
+        }
+        out
     }
 
     /// The human-readable per-phase ε/latency budget report.
@@ -457,6 +455,9 @@ impl RunReport {
                 ));
             }
             out.push(']');
+            if let Some(ns) = run.unattributed_ns {
+                out.push_str(&format!(",\"unattributed_ns\":{ns}"));
+            }
             if let Some(l) = &run.latency {
                 out.push_str(&format!(
                     ",\"latency\":{{\"sessions\":{},\"requests\":{},\"ok\":{},\
@@ -571,7 +572,7 @@ mod tests {
     #[test]
     fn run_report_collects_phases_and_charges() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 5_000_000, &sample_events());
+        r.record("fig1", 5_000_000, &sample_events(), &[]);
         let text = r.render_budget_report();
         assert!(text.contains("fig1"));
         assert!(text.contains("cdf_partition"));
@@ -630,7 +631,7 @@ mod tests {
         assert_eq!(latency["p95_ns"].as_f64(), Some(5_000.0));
         // Runs without latency do not carry the key.
         let mut plain = RunReport::new("x");
-        plain.record("fig1", 1, &[]);
+        plain.record("fig1", 1, &[], &[]);
         assert!(!plain.to_json().contains("\"latency\""));
     }
 
@@ -647,7 +648,7 @@ mod tests {
     #[test]
     fn run_report_json_is_parseable_at_the_phase_level() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 5_000_000, &sample_events());
+        r.record("fig1", 5_000_000, &sample_events(), &[]);
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"target\":\"test\""));
@@ -687,7 +688,7 @@ mod tests {
     #[test]
     fn run_report_folds_spans_into_attribution() {
         let mut r = RunReport::new("test");
-        r.record_with_spans("fig1", 1_000, &[], &sample_spans());
+        r.record("fig1", 1_000, &[], &sample_spans());
         let run = &r.runs[0];
         assert_eq!(run.attribution.len(), 3);
         // Sorted by self time: the plan materialization dominates.
@@ -706,7 +707,7 @@ mod tests {
     #[test]
     fn experiments_json_is_pinned_for_fixed_events_and_spans() {
         let mut r = RunReport::new("test");
-        r.record_with_spans("fig1", 5_000_000, &sample_events(), &sample_spans());
+        r.record("fig1", 5_000_000, &sample_events(), &sample_spans());
         let json = r.to_json();
         let start = json.find("\"experiments\":").expect("experiments key");
         let end = json.find(",\"metrics\":").expect("metrics key");
@@ -722,9 +723,22 @@ mod tests {
     }
 
     #[test]
+    fn unattributed_time_is_serialized_and_printed_when_set() {
+        let mut r = RunReport::new("test");
+        r.record("fig1", 2_000_000, &[], &sample_spans())
+            .unattributed_ns = Some(500_000);
+        assert!(r
+            .to_json()
+            .contains("\"self_ns\":80}],\"unattributed_ns\":500000}"));
+        assert!(r.render_attribution_report().ends_with(
+            "unattributed fig1: 0.5 ms of 2.0 ms wall outside the calling thread's root spans\n"
+        ));
+    }
+
+    #[test]
     fn unprofiled_reports_have_empty_attribution() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 1_000, &[]);
+        r.record("fig1", 1_000, &[], &[]);
         assert!(r.runs[0].attribution.is_empty());
         assert_eq!(r.render_attribution_report(), "");
         assert!(r.to_json().contains("\"attribution\":[]"));
@@ -749,7 +763,7 @@ mod tests {
             });
         }
         let mut r = RunReport::new("test");
-        r.record_with_spans("x", 1, &[], &spans);
+        r.record("x", 1, &[], &spans);
         assert_eq!(r.runs[0].attribution.len(), ATTRIBUTION_TOP);
         // The kept rows are the largest self-times.
         assert_eq!(r.runs[0].attribution[0].self_ns, 1000);
@@ -759,7 +773,7 @@ mod tests {
     fn run_report_writes_the_target_file() {
         let dir = std::env::temp_dir().join("dpnet-bench-report-test");
         let mut r = RunReport::new("unit");
-        r.record("x", 1, &[]);
+        r.record("x", 1, &[], &[]);
         let path = r.write_json(&dir).unwrap();
         assert!(path.ends_with("BENCH_unit.json"));
         let text = std::fs::read_to_string(&path).unwrap();

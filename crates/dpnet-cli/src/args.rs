@@ -3,7 +3,8 @@
 //! Grammar: `dpnet <command> [positional ...] [--flag value ...]`. A flag
 //! followed by another flag (or by nothing) is a bare boolean and parses
 //! as the value `"true"` — so `dpnet explain fig1 --analyze` works without
-//! an explicit `--analyze true`.
+//! an explicit `--analyze true`. Each command names the flags it reads
+//! ([`Args::only_flags`]); any other flag is an error.
 
 use std::collections::HashMap;
 
@@ -59,6 +60,21 @@ impl Args {
             positional,
             flags,
         })
+    }
+
+    /// Fail naming the first flag (in name order) that is not in `known`,
+    /// the flags the command reads: a mistyped or retired flag must not be
+    /// silently ignored.
+    pub fn only_flags(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .filter(|f| !known.contains(&f.as_str()))
+            .min()
+        {
+            Some(flag) => Err(format!("unknown flag --{flag} for '{}'", self.command)),
+            None => Ok(()),
+        }
     }
 
     /// A flag parsed to some type, with a default.
@@ -125,6 +141,15 @@ mod tests {
     fn bad_flag_values_surface_cleanly() {
         let a = parse(&["x", "--n", "abc"]).unwrap();
         assert!(a.flag_or("n", 1u32).is_err());
+    }
+
+    #[test]
+    fn flags_outside_the_known_set_are_named() {
+        let a = parse(&["profile", "fig1", "--workers", "4", "--zz", "1", "--bogus"]).unwrap();
+        let err = a.only_flags(&["workers"]).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus for 'profile'");
+        assert!(a.only_flags(&["workers", "zz", "bogus"]).is_ok());
+        assert!(parse(&["inspect", "f"]).unwrap().only_flags(&[]).is_ok());
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub fn store_trace(path: &str, packets: &[Packet]) -> Result<(), String> {
 /// `dpnet generate <out> [--seed N] [--flows N]` — synthesize a Hotspot
 /// trace and write it out.
 pub fn generate_cmd(args: &Args) -> Result<String, String> {
+    args.only_flags(&["seed", "flows"])?;
     let out = args.positional(0, "output file")?;
     let seed: u64 = args.flag_or("seed", 0x00d0_9e75u64)?;
     let flows: usize = args.flag_or("flows", 1000usize)?;
@@ -58,6 +59,7 @@ pub fn generate_cmd(args: &Args) -> Result<String, String> {
 /// `dpnet convert <in> <out>` — re-encode between the binary and text
 /// formats (direction chosen by file extensions).
 pub fn convert_cmd(args: &Args) -> Result<String, String> {
+    args.only_flags(&[])?;
     let input = args.positional(0, "input file")?;
     let output = args.positional(1, "output file")?;
     let packets = load_trace(input)?;
@@ -98,6 +100,7 @@ pub fn inspect_packets(packets: &[Packet]) -> String {
 
 /// `dpnet inspect <file>`.
 pub fn inspect_cmd(args: &Args) -> Result<String, String> {
+    args.only_flags(&[])?;
     let path = args.positional(0, "trace file")?;
     let packets = load_trace(path)?;
     Ok(inspect_packets(&packets))
@@ -153,6 +156,7 @@ fn write_audit(budget: &Accountant, path: &str) -> Result<(), String> {
 /// [--label L] [--audit-out FILE]` — run a private analysis. Queries:
 /// `count`, `lengths`, `ports`, `rtt`, `loss`, `heavy-hosts`.
 pub fn analyze_cmd(args: &Args) -> Result<String, String> {
+    args.only_flags(&["budget", "eps", "seed", "label", "audit-out"])?;
     let path = args.positional(0, "trace file")?;
     let query = args.positional(1, "query")?.to_string();
     let budget_eps: f64 = args.flag_or("budget", 1.0f64)?;
@@ -236,6 +240,7 @@ pub fn follow_file(
 /// live, like `tail -f`. The file may ride on the flag
 /// (`--follow file.jsonl`) or stand as the positional argument.
 fn audit_follow_cmd(args: &Args, flag_value: &str) -> Result<String, String> {
+    args.only_flags(&["follow", "max-lines", "idle-ms"])?;
     let path = if flag_value == "true" {
         args.positional(0, "audit JSONL file")?.to_string()
     } else {
@@ -260,6 +265,7 @@ pub fn audit_cmd(args: &Args) -> Result<String, String> {
         let v = v.clone();
         return audit_follow_cmd(args, &v);
     }
+    args.only_flags(&["budget", "eps", "seed", "label", "out"])?;
     let path = args.positional(0, "trace file")?;
     let query = args.positional(1, "query")?.to_string();
     let budget_eps: f64 = args.flag_or("budget", 1.0f64)?;
@@ -309,6 +315,7 @@ pub fn audit_cmd(args: &Args) -> Result<String, String> {
 pub fn classify_cmd(args: &Args) -> Result<String, String> {
     use dpnet_analyses::classification::rule_traffic;
     use dpnet_trace::classify::{example_ruleset, Classifier};
+    args.only_flags(&["rules", "budget", "eps", "seed", "label", "audit-out"])?;
 
     let path = args.positional(0, "trace file")?;
     let budget_eps: f64 = args.flag_or("budget", 1.0f64)?;
@@ -355,19 +362,16 @@ pub fn classify_cmd(args: &Args) -> Result<String, String> {
 }
 
 /// `dpnet profile <experiment> [--workers N] [--trace-out FILE]
-/// [--max-overhead R] [--report-dir DIR] [--spans full|agg]` — run one
-/// paper experiment with the span profiler installed, write the
-/// attribution-bearing `BENCH_<experiment>-wN.json` report, and optionally
-/// a Chrome-trace JSON loadable in Perfetto (`ui.perfetto.dev`) or
-/// `chrome://tracing`. `--spans agg` folds the high-frequency aggregation
-/// spans into count + total-ns rows per charge path instead of recording
-/// each one (attribution tables and traces keep working; large partitioned
-/// runs stop materializing millions of span records).
+/// [--max-overhead R] [--report-dir DIR]` — run one paper experiment with
+/// the span profiler installed, write the attribution-bearing
+/// `BENCH_<experiment>-wN.json` report (with the run's unattributed time),
+/// and optionally a Chrome-trace JSON loadable in Perfetto
+/// (`ui.perfetto.dev`) or `chrome://tracing`.
 pub fn profile_cmd(args: &Args) -> Result<String, String> {
     use dpnet_bench::profile::{run_profiled, ProfileConfig, IDS};
-    use dpnet_obs::SpanMode;
     use std::path::PathBuf;
 
+    args.only_flags(&["workers", "trace-out", "max-overhead", "report-dir"])?;
     let experiment = args.positional(0, "experiment")?;
     if !IDS.contains(&experiment) {
         return Err(format!(
@@ -383,16 +387,6 @@ pub fn profile_cmd(args: &Args) -> Result<String, String> {
         ),
         None => None,
     };
-    let span_mode = match args
-        .flags
-        .get("spans")
-        .map(String::as_str)
-        .unwrap_or("full")
-    {
-        "full" => SpanMode::Full,
-        "agg" => SpanMode::Aggregate,
-        other => return Err(format!("invalid value '{other}' for --spans (full|agg)")),
-    };
     let cfg = ProfileConfig {
         experiment: experiment.to_string(),
         workers,
@@ -404,7 +398,6 @@ pub fn profile_cmd(args: &Args) -> Result<String, String> {
         ),
         trace_out: args.flags.get("trace-out").map(PathBuf::from),
         max_overhead,
-        span_mode,
     };
     let outcome = run_profiled(&cfg)?;
 
@@ -419,13 +412,6 @@ pub fn profile_cmd(args: &Args) -> Result<String, String> {
         outcome.spans,
         outcome.profiled_wall_ns as f64 / 1e6
     );
-    if outcome.aggregated > 0 {
-        let _ = writeln!(
-            out,
-            "aggregated spans: {} (name, charge path) rows folded (--spans agg)",
-            outcome.aggregated
-        );
-    }
     if let (Some(base), Some(overhead)) = (outcome.baseline_wall_ns, outcome.overhead()) {
         let _ = writeln!(
             out,
@@ -457,6 +443,7 @@ pub fn explain_cmd(args: &Args) -> Result<String, String> {
     use dpnet_bench::profile::IDS;
     use std::path::PathBuf;
 
+    args.only_flags(&["analyze", "format", "workers", "out", "trace-out"])?;
     let experiment = args.positional(0, "experiment")?;
     if !IDS.contains(&experiment) {
         return Err(format!(
@@ -535,6 +522,16 @@ pub fn serve_cmd(args: &Args) -> Result<String, String> {
     use dpnet_serve::{serve, shard_packets, ServeConfig};
     use std::path::PathBuf;
 
+    args.only_flags(&[
+        "addr",
+        "global-eps",
+        "analyst-cap",
+        "workers",
+        "jobs",
+        "seed",
+        "audit-dir",
+        "duration-s",
+    ])?;
     let path = args.positional(0, "trace file")?;
     let addr = args
         .flags
@@ -610,6 +607,22 @@ pub fn loadtest_cmd(args: &Args) -> Result<String, String> {
     use dpnet_trace::gen::hotspot::{generate, HotspotConfig};
     use std::path::PathBuf;
 
+    args.only_flags(&[
+        "sessions",
+        "requests",
+        "analysts",
+        "analysis",
+        "eps",
+        "addr",
+        "flows",
+        "global-eps",
+        "analyst-cap",
+        "workers",
+        "jobs",
+        "seed",
+        "audit-dir",
+        "report-dir",
+    ])?;
     let cfg = LoadtestConfig {
         sessions: args.flag_or("sessions", 64usize)?,
         requests: args.flag_or("requests", 4usize)?,
@@ -725,13 +738,16 @@ pub fn usage() -> String {
      \n\
      usage: dpnet <command> [args]\n\
      \n\
+     Each command reads only the flags listed for it; any other flag is an error.\n\
+     \n\
      commands:\n\
        generate <out> [--seed N] [--flows N]   synthesize a hotspot trace\n\
        convert  <in> <out>                     re-encode (.txt text, .pcap libpcap, else binary)\n\
        inspect  <file>                         owner-side summary (non-private)\n\
        analyze  <file> <query> [--budget E] [--eps E] [--seed N] [--label L] [--audit-out FILE]\n\
                 queries: count lengths ports rtt loss heavy-hosts retx-cdf itemsets worm\n\
-       classify <file> [--rules FILE] [--budget E] [--eps E] [--seed N] [--audit-out FILE]\n\
+       classify <file> [--rules FILE] [--budget E] [--eps E] [--seed N] [--label L]\n\
+                [--audit-out FILE]\n\
                 private per-rule traffic shares\n\
        audit    <file> <query> [--budget E] [--eps E] [--seed N] [--label L] [--out FILE]\n\
                 run a query, then print the owner-side per-operator \u{3b5} ledger\n\
@@ -742,15 +758,17 @@ pub fn usage() -> String {
                 daemon: concurrent analyst sessions over JSON-over-TCP,\n\
                 budget-mediated; per-session audit JSONL in --audit-dir\n\
        loadtest [--sessions N] [--requests N] [--analysts N] [--analysis NAME]\n\
-                [--eps E] [--addr A] [--report-dir DIR] [--seed N]\n\
+                [--eps E] [--addr A] [--report-dir DIR] [--seed N] [--flows N]\n\
+                [--global-eps G] [--analyst-cap C] [--workers N] [--jobs J]\n\
+                [--audit-dir DIR]\n\
                 drive N concurrent analyst sessions (in-process daemon\n\
                 unless --addr); writes BENCH_serve.json latency percentiles\n\
        profile  <experiment> [--workers N] [--trace-out FILE] [--max-overhead R]\n\
-                [--spans full|agg]\n\
-                run a paper experiment under the span profiler; writes\n\
-                bench-reports/BENCH_<experiment>-wN.json and a Perfetto trace;\n\
-                --spans agg folds high-frequency aggregation spans into\n\
-                count + total-ns rows per charge path\n\
+                [--report-dir DIR]\n\
+                run a paper experiment under the span profiler; prints the\n\
+                attribution table and the unattributed time (wall time outside\n\
+                the calling thread's root spans), writes\n\
+                bench-reports/BENCH_<experiment>-wN.json and a Perfetto trace\n\
        explain  <experiment> [--analyze] [--format tree|dot|json] [--workers N]\n\
                 [--out FILE] [--trace-out FILE]\n\
                 EXPLAIN / EXPLAIN ANALYZE: predicted \u{3b5} per charge path and\n\
@@ -782,6 +800,11 @@ mod tests {
         let err = profile_cmd(&args(&["profile", "fig1", "--max-overhead", "lots"])).unwrap_err();
         assert!(err.contains("--max-overhead"), "{err}");
         assert!(profile_cmd(&args(&["profile"])).is_err());
+        // A mistyped flag and the retired span mode fail before anything runs.
+        let err = profile_cmd(&args(&["profile", "table4", "--worker", "4"])).unwrap_err();
+        assert!(err.contains("unknown flag --worker "), "{err}");
+        let err = profile_cmd(&args(&["profile", "fig1", "--spans", "agg"])).unwrap_err();
+        assert!(err.contains("unknown flag --spans "), "{err}");
     }
 
     #[test]
@@ -793,6 +816,8 @@ mod tests {
         let err = explain_cmd(&args(&["explain", "fig1", "--trace-out", "t.json"])).unwrap_err();
         assert!(err.contains("--analyze"), "{err}");
         assert!(explain_cmd(&args(&["explain"])).is_err());
+        let err = explain_cmd(&args(&["explain", "fig1", "--formt", "json"])).unwrap_err();
+        assert!(err.contains("unknown flag --formt "), "{err}");
     }
 
     #[test]

@@ -70,12 +70,7 @@ pub use sink::{
     SinkHandle,
 };
 pub use span::{
-    attribution, attribution_with_aggregates, install_recorder, profiling_enabled,
-    uninstall_recorder, AggregatedSpans, AttributionRow, CompletedSpan, SpanGuard, SpanMode,
-    TraceRecorder,
+    attribution, install_recorder, profiling_enabled, uninstall_recorder, AttributionRow,
+    CompletedSpan, SpanGuard, SpanMode, TraceRecorder,
 };
-pub use trace_export::{
-    chrome_trace_json, chrome_trace_json_aggregated, chrome_trace_json_with_counters,
-    write_chrome_trace, write_chrome_trace_aggregated, write_chrome_trace_with_counters,
-    CounterSample,
-};
+pub use trace_export::{chrome_trace_json, write_chrome_trace, CounterSample};

@@ -57,11 +57,6 @@ impl MemorySink {
         self.len() == 0
     }
 
-    /// Drop all captured events.
-    pub fn clear(&self) {
-        lock(&self.events).clear();
-    }
-
     /// Remove and return everything captured so far.
     pub fn drain(&self) -> Vec<Event> {
         std::mem::take(&mut *lock(&self.events))

@@ -88,81 +88,35 @@ impl CompletedSpan {
     }
 }
 
-/// How a [`TraceRecorder`] treats spans opened through [`enter_agg_with`]
-/// (the high-frequency aggregation-barrier sites, one span per charge).
+/// The one way a [`TraceRecorder`] records: every span, individually.
 ///
-/// Large partitioned experiments open one aggregation span per part —
-/// on the order of a million spans for worm at 4 workers — and keeping
-/// each one as a [`CompletedSpan`] dominates the recorder's memory and
-/// lock traffic. [`SpanMode::Aggregate`] folds those spans into one
-/// [`AggregatedSpans`] row per `(name, detail)` pair instead (count +
-/// total ns per charge path), while every other span is recorded in full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A single-variant enum kept only because the benchmark package
+/// (`benchmark/src/layers.rs`) names `TraceRecorder::with_mode(SpanMode::Full)`
+/// and nothing under `benchmark/` changes outside a benchmark change;
+/// delete it, with [`TraceRecorder::with_mode`], in the next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanMode {
-    /// Record every span individually (the default; exact timelines).
-    #[default]
+    /// Record every span individually.
     Full,
-    /// Fold aggregation-barrier spans into per-`(name, detail)` rows.
-    Aggregate,
 }
-
-/// All spans from one [`enter_agg_with`] site sharing a `(name, detail)`
-/// pair, folded by a [`SpanMode::Aggregate`] recorder into one row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregatedSpans {
-    /// Static span name, e.g. `"noisy_count"`.
-    pub name: &'static str,
-    /// The detail the spans shared (for aggregation sites: a charge path).
-    pub detail: Option<Arc<str>>,
-    /// Number of spans folded into this row.
-    pub count: u64,
-    /// Sum of span durations, ns.
-    pub total_ns: u64,
-    /// Sum of the spans' direct-children durations, ns.
-    pub child_ns: u64,
-}
-
-impl AggregatedSpans {
-    /// Total duration not attributable to child spans, ns.
-    pub fn self_ns(&self) -> u64 {
-        self.total_ns.saturating_sub(self.child_ns)
-    }
-}
-
-/// Aggregate-fold key: the `(name, detail)` pair spans share.
-type AggKey = (&'static str, Option<Arc<str>>);
 
 /// Collects [`CompletedSpan`]s from every thread while installed.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
-    mode: SpanMode,
     spans: Mutex<Vec<CompletedSpan>>,
-    aggs: Mutex<BTreeMap<AggKey, AggregatedSpans>>,
     tracks: Mutex<BTreeMap<u64, Arc<str>>>,
 }
 
 impl TraceRecorder {
-    /// An empty recorder in [`SpanMode::Full`].
+    /// An empty recorder.
     pub fn new() -> Self {
         TraceRecorder::default()
     }
 
-    /// An empty recorder in the given mode.
-    pub fn with_mode(mode: SpanMode) -> Self {
-        TraceRecorder {
-            mode,
-            ..TraceRecorder::default()
-        }
-    }
-
-    /// The mode this recorder was built with.
-    pub fn mode(&self) -> SpanMode {
-        self.mode
-    }
-
-    /// Copy of every span completed so far (completion order).
-    pub fn spans(&self) -> Vec<CompletedSpan> {
-        lock(&self.spans).clone()
+    /// [`TraceRecorder::new`]. Kept only for the benchmark package, which
+    /// names it (see [`SpanMode`]); delete it in the next benchmark change.
+    pub fn with_mode(_mode: SpanMode) -> Self {
+        TraceRecorder::default()
     }
 
     /// Remove and return every span completed so far.
@@ -170,35 +124,14 @@ impl TraceRecorder {
         std::mem::take(&mut *lock(&self.spans))
     }
 
-    /// Number of completed spans held.
-    pub fn len(&self) -> usize {
-        lock(&self.spans).len()
-    }
-
     /// True when no span has completed yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        lock(&self.spans).is_empty()
     }
 
-    /// Drop all held spans and aggregate rows (track names are kept).
+    /// Drop all held spans (track names are kept).
     pub fn clear(&self) {
         lock(&self.spans).clear();
-        lock(&self.aggs).clear();
-    }
-
-    /// Copy of every aggregate row folded so far, ordered by `(name,
-    /// detail)` for determinism. Empty unless the recorder runs in
-    /// [`SpanMode::Aggregate`] and [`enter_agg_with`] sites fired.
-    pub fn aggregated(&self) -> Vec<AggregatedSpans> {
-        lock(&self.aggs).values().cloned().collect()
-    }
-
-    /// Remove and return every aggregate row folded so far, ordered by
-    /// `(name, detail)`.
-    pub fn take_aggregated(&self) -> Vec<AggregatedSpans> {
-        std::mem::take(&mut *lock(&self.aggs))
-            .into_values()
-            .collect()
     }
 
     /// Human-readable names for tracks, as registered by
@@ -209,22 +142,6 @@ impl TraceRecorder {
 
     fn push(&self, span: CompletedSpan) {
         lock(&self.spans).push(span);
-    }
-
-    fn push_agg(&self, span: &CompletedSpan) {
-        let mut aggs = lock(&self.aggs);
-        let row = aggs
-            .entry((span.name, span.detail.clone()))
-            .or_insert_with(|| AggregatedSpans {
-                name: span.name,
-                detail: span.detail.clone(),
-                count: 0,
-                total_ns: 0,
-                child_ns: 0,
-            });
-        row.count += 1;
-        row.total_ns += span.dur_ns;
-        row.child_ns += span.child_ns;
     }
 
     fn name_track(&self, track: u64, name: &str) {
@@ -288,9 +205,6 @@ struct ActiveSpan {
     detail: Option<Arc<str>>,
     child_ns: u64,
     records: u64,
-    /// Opened through [`enter_agg_with`]: an aggregation-barrier span a
-    /// [`SpanMode::Aggregate`] recorder folds instead of storing.
-    agg: bool,
 }
 
 struct ThreadCtx {
@@ -333,7 +247,7 @@ pub fn current_track() -> u64 {
 /// its [`SpanGuard::elapsed_ns`] is 0.
 #[inline]
 pub fn enter(name: &'static str) -> SpanGuard {
-    open(name, false, false, || None)
+    open(name, false, || None)
 }
 
 /// Like [`enter`], but the guard always reads the clock, so its duration
@@ -341,7 +255,7 @@ pub fn enter(name: &'static str) -> SpanGuard {
 /// regions that run a handful of times per analysis (a toolkit phase).
 #[inline]
 pub fn enter_timed(name: &'static str) -> SpanGuard {
-    open(name, true, false, || None)
+    open(name, true, || None)
 }
 
 /// Like [`enter`], but attaches free-form detail built by `make` — which
@@ -351,29 +265,14 @@ pub fn enter_timed(name: &'static str) -> SpanGuard {
 /// [`enter_timed`]); callers pass whether they will ask for the duration.
 #[inline]
 pub fn enter_with(name: &'static str, timed: bool, make: impl FnOnce() -> String) -> SpanGuard {
-    open(name, timed, false, || Some(Arc::from(make().as_str())))
-}
-
-/// [`enter_with`] for high-frequency aggregation-barrier sites (one span
-/// per charge). Under a [`SpanMode::Full`] recorder this is identical to
-/// [`enter_with`]; a [`SpanMode::Aggregate`] recorder folds the completed
-/// span into a per-`(name, detail)` [`AggregatedSpans`] row instead of
-/// storing it individually.
-#[inline]
-pub fn enter_agg_with(name: &'static str, timed: bool, make: impl FnOnce() -> String) -> SpanGuard {
-    open(name, timed, true, || Some(Arc::from(make().as_str())))
+    open(name, timed, || Some(Arc::from(make().as_str())))
 }
 
 #[inline]
-fn open(
-    name: &'static str,
-    timed: bool,
-    agg: bool,
-    detail: impl FnOnce() -> Option<Arc<str>>,
-) -> SpanGuard {
+fn open(name: &'static str, timed: bool, detail: impl FnOnce() -> Option<Arc<str>>) -> SpanGuard {
     let recorded = profiling_enabled();
     if recorded {
-        push(name, detail(), agg);
+        push(name, detail());
     }
     SpanGuard {
         started: (recorded || timed).then(clock::mark),
@@ -381,7 +280,7 @@ fn open(
     }
 }
 
-fn push(name: &'static str, detail: Option<Arc<str>>, agg: bool) {
+fn push(name: &'static str, detail: Option<Arc<str>>) {
     CTX.with(|c| {
         let mut ctx = c.borrow_mut();
         let parent = ctx.stack.last().map(|s| s.id);
@@ -392,7 +291,6 @@ fn push(name: &'static str, detail: Option<Arc<str>>, agg: bool) {
             detail,
             child_ns: 0,
             records: 0,
-            agg,
         });
     });
 }
@@ -457,8 +355,7 @@ impl Drop for SpanGuard {
             // Quiet the unused warning when `trusted-owner` is off; the
             // count deliberately dies here in that configuration.
             let _ = records;
-            let agg = span.agg;
-            let completed = CompletedSpan {
+            Some(CompletedSpan {
                 id: span.id,
                 parent: span.parent,
                 name: span.name,
@@ -469,19 +366,12 @@ impl Drop for SpanGuard {
                 child_ns: span.child_ns,
                 #[cfg(feature = "trusted-owner")]
                 records,
-            };
-            Some((completed, agg))
+            })
         });
-        if let Some((span, agg)) = completed {
-            // The recorder may have been uninstalled while the span was
-            // open; the span is then simply discarded.
-            if let Some(rec) = recorder() {
-                if agg && rec.mode() == SpanMode::Aggregate {
-                    rec.push_agg(&span);
-                } else {
-                    rec.push(span);
-                }
-            }
+        // The recorder may have been uninstalled while the span was open;
+        // the span is then simply discarded.
+        if let (Some(span), Some(rec)) = (completed, recorder()) {
+            rec.push(span);
         }
     }
 }
@@ -504,39 +394,17 @@ pub struct AttributionRow {
 /// Fold completed spans into per-name attribution rows, sorted by
 /// descending self time (ties broken by name for determinism).
 pub fn attribution(spans: &[CompletedSpan]) -> Vec<AttributionRow> {
-    attribution_with_aggregates(spans, &[])
-}
-
-/// [`attribution`] over full spans *and* the [`AggregatedSpans`] rows a
-/// [`SpanMode::Aggregate`] recorder folded — so the per-operator table is
-/// identical whichever mode recorded the run.
-pub fn attribution_with_aggregates(
-    spans: &[CompletedSpan],
-    aggs: &[AggregatedSpans],
-) -> Vec<AttributionRow> {
     let mut by_name: BTreeMap<&'static str, AttributionRow> = BTreeMap::new();
-    fn row_for<'m>(
-        by_name: &'m mut BTreeMap<&'static str, AttributionRow>,
-        name: &'static str,
-    ) -> &'m mut AttributionRow {
-        by_name.entry(name).or_insert_with(|| AttributionRow {
-            name: name.to_string(),
+    for s in spans {
+        let row = by_name.entry(s.name).or_insert_with(|| AttributionRow {
+            name: s.name.to_string(),
             count: 0,
             total_ns: 0,
             self_ns: 0,
-        })
-    }
-    for s in spans {
-        let row = row_for(&mut by_name, s.name);
+        });
         row.count += 1;
         row.total_ns += s.dur_ns;
         row.self_ns += s.self_ns();
-    }
-    for a in aggs {
-        let row = row_for(&mut by_name, a.name);
-        row.count += a.count;
-        row.total_ns += a.total_ns;
-        row.self_ns += a.self_ns();
     }
     let mut rows: Vec<AttributionRow> = by_name.into_values().collect();
     rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
@@ -739,63 +607,6 @@ mod tests {
         // Self times tile the profiled wall-clock.
         let total_self: u64 = rows.iter().map(|r| r.self_ns).sum();
         assert_eq!(total_self, 105);
-    }
-
-    #[test]
-    fn aggregate_mode_folds_agg_spans_by_name_and_detail() {
-        let _g = global_guard();
-        let rec = Arc::new(TraceRecorder::with_mode(SpanMode::Aggregate));
-        install_recorder(rec.clone());
-        {
-            let _outer = enter("exec/run");
-            for _ in 0..3 {
-                let _s = enter_agg_with("noisy_count", false, || {
-                    "part[*]/scale(x1)/root".to_string()
-                });
-                spin(5_000);
-            }
-            let _other = enter_agg_with("noisy_sum", false, || "root".to_string());
-        }
-        uninstall_recorder();
-        // Only the non-agg span is stored individually.
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "exec/run");
-        let aggs = rec.aggregated();
-        assert_eq!(aggs.len(), 2);
-        let count_row = &aggs[0];
-        assert_eq!(count_row.name, "noisy_count");
-        assert_eq!(count_row.detail.as_deref(), Some("part[*]/scale(x1)/root"));
-        assert_eq!(count_row.count, 3);
-        assert!(count_row.total_ns > 0);
-        assert_eq!(aggs[1].name, "noisy_sum");
-        assert_eq!(aggs[1].count, 1);
-        // The parent still sees the folded spans as children.
-        assert_eq!(
-            spans[0].child_ns,
-            aggs.iter().map(|a| a.total_ns).sum::<u64>()
-        );
-        // Attribution is fed from both sources.
-        let rows = attribution_with_aggregates(&spans, &aggs);
-        assert_eq!(rows.len(), 3);
-        let nc = rows.iter().find(|r| r.name == "noisy_count").unwrap();
-        assert_eq!(nc.count, 3);
-        assert_eq!(nc.total_ns, count_row.total_ns);
-        assert!(rec.take_aggregated().len() == 2 && rec.aggregated().is_empty());
-    }
-
-    #[test]
-    fn full_mode_records_agg_spans_individually() {
-        let _g = global_guard();
-        let rec = Arc::new(TraceRecorder::new());
-        assert_eq!(rec.mode(), SpanMode::Full);
-        install_recorder(rec.clone());
-        for _ in 0..2 {
-            let _s = enter_agg_with("noisy_count", false, || "root".to_string());
-        }
-        uninstall_recorder();
-        assert_eq!(rec.spans().len(), 2);
-        assert!(rec.aggregated().is_empty());
     }
 
     #[test]

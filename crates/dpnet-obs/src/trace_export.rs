@@ -13,14 +13,10 @@
 //! file contains names, details, links and timings — never record counts.
 
 use crate::json::{escape, number};
-use crate::span::{AggregatedSpans, CompletedSpan};
+use crate::span::CompletedSpan;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::Arc;
-
-/// The `tid` lane synthetic aggregate events render on. Real span tracks
-/// are numbered from 1, so lane 0 is free.
-const AGG_TRACK: u64 = 0;
 
 fn us(ns: u64) -> String {
     number(ns as f64 / 1000.0)
@@ -42,42 +38,17 @@ pub struct CounterSample {
     pub value: f64,
 }
 
-/// Write `spans` as one Chrome trace-event JSON document. `track_names`
-/// maps track ids to display names (see
+/// Write `spans` as one Chrome trace-event JSON document, followed by one
+/// `"ph":"C"` event per [`CounterSample`] (sharing the spans' `pid`, so
+/// Perfetto shows the counters in the same timeline). `track_names` maps
+/// track ids to display names (see
 /// [`TraceRecorder::track_names`](crate::span::TraceRecorder::track_names));
 /// unnamed tracks display as `track-<id>`.
 pub fn write_chrome_trace<W: Write>(
-    w: W,
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-) -> io::Result<()> {
-    write_chrome_trace_with_counters(w, spans, track_names, &[])
-}
-
-/// [`write_chrome_trace`] with counter tracks appended: one `"ph":"C"`
-/// event per [`CounterSample`], sharing the spans' `pid` so Perfetto
-/// shows the counters in the same timeline.
-pub fn write_chrome_trace_with_counters<W: Write>(
-    w: W,
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-    counters: &[CounterSample],
-) -> io::Result<()> {
-    write_chrome_trace_aggregated(w, spans, track_names, counters, &[])
-}
-
-/// The full exporter: spans, counter tracks, *and* the folded
-/// [`AggregatedSpans`] rows a [`crate::span::SpanMode::Aggregate`]
-/// recorder produced. Each aggregate row becomes one
-/// synthetic `"ph":"X"` event on a dedicated `tid 0` lane named
-/// `"aggregated spans"`, laid end-to-end (the lane shows *total* time per
-/// charge path, not a timeline) with the fold's `count` in its args.
-pub fn write_chrome_trace_aggregated<W: Write>(
     mut w: W,
     spans: &[CompletedSpan],
     track_names: &BTreeMap<u64, Arc<str>>,
     counters: &[CounterSample],
-    aggs: &[AggregatedSpans],
 ) -> io::Result<()> {
     write!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
     let mut first = true;
@@ -94,14 +65,6 @@ pub fn write_chrome_trace_aggregated<W: Write>(
     let mut tracks: Vec<u64> = spans.iter().map(|s| s.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
-    if !aggs.is_empty() {
-        sep(&mut w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{AGG_TRACK},\
-             \"args\":{{\"name\":\"aggregated spans\"}}}}"
-        )?;
-    }
     for track in &tracks {
         let name: String = match track_names.get(track) {
             Some(n) => n.to_string(),
@@ -137,27 +100,6 @@ pub fn write_chrome_trace_aggregated<W: Write>(
         write!(w, ",\"records\":{}", s.records)?;
         write!(w, "}}}}")?;
     }
-    // Aggregate rows: end-to-end on the dedicated lane, so a row's width
-    // reads as total time spent under that (name, charge path).
-    let mut cursor_ns = 0u64;
-    for a in aggs {
-        sep(&mut w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":{},\"cat\":\"dpnet-agg\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{AGG_TRACK},\"args\":{{\"count\":{},\"self_us\":{}",
-            escape(a.name),
-            us(cursor_ns),
-            us(a.total_ns),
-            a.count,
-            us(a.self_ns()),
-        )?;
-        if let Some(detail) = &a.detail {
-            write!(w, ",\"detail\":{}", escape(detail))?;
-        }
-        write!(w, "}}}}")?;
-        cursor_ns += a.total_ns;
-    }
     for c in counters {
         sep(&mut w, &mut first)?;
         write!(
@@ -174,28 +116,13 @@ pub fn write_chrome_trace_aggregated<W: Write>(
 }
 
 /// [`write_chrome_trace`] into a `String`.
-pub fn chrome_trace_json(spans: &[CompletedSpan], track_names: &BTreeMap<u64, Arc<str>>) -> String {
-    chrome_trace_json_with_counters(spans, track_names, &[])
-}
-
-/// [`write_chrome_trace_with_counters`] into a `String`.
-pub fn chrome_trace_json_with_counters(
+pub fn chrome_trace_json(
     spans: &[CompletedSpan],
     track_names: &BTreeMap<u64, Arc<str>>,
     counters: &[CounterSample],
-) -> String {
-    chrome_trace_json_aggregated(spans, track_names, counters, &[])
-}
-
-/// [`write_chrome_trace_aggregated`] into a `String`.
-pub fn chrome_trace_json_aggregated(
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-    counters: &[CounterSample],
-    aggs: &[AggregatedSpans],
 ) -> String {
     let mut buf = Vec::new();
-    write_chrome_trace_aggregated(&mut buf, spans, track_names, counters, aggs)
+    write_chrome_trace(&mut buf, spans, track_names, counters)
         .expect("writing to a Vec cannot fail");
     String::from_utf8(buf).expect("exporter emits UTF-8")
 }
@@ -228,7 +155,7 @@ mod tests {
         let spans = vec![span(1, None, "outer", 3), span(2, Some(1), "inner", 4)];
         let mut names = BTreeMap::new();
         names.insert(3u64, Arc::from("main"));
-        let json = chrome_trace_json(&spans, &names);
+        let json = chrome_trace_json(&spans, &names, &[]);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         // Metadata events for both tracks; the unnamed one gets a fallback.
@@ -246,7 +173,7 @@ mod tests {
     #[test]
     fn event_count_matches_spans_plus_tracks() {
         let spans = vec![span(1, None, "a", 1), span(2, None, "b", 1)];
-        let json = chrome_trace_json(&spans, &BTreeMap::new());
+        let json = chrome_trace_json(&spans, &BTreeMap::new(), &[]);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 1);
         // Events are comma-separated (valid array syntax).
@@ -255,13 +182,13 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let json = chrome_trace_json(&[], &BTreeMap::new());
+        let json = chrome_trace_json(&[], &BTreeMap::new(), &[]);
         assert_eq!(json, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
     }
 
     #[test]
     fn default_trace_omits_record_counts() {
-        let json = chrome_trace_json(&[span(2, None, "k", 1)], &BTreeMap::new());
+        let json = chrome_trace_json(&[span(2, None, "k", 1)], &BTreeMap::new(), &[]);
         if cfg!(feature = "trusted-owner") {
             assert!(json.contains("\"records\":7"));
         } else {
@@ -289,13 +216,13 @@ mod tests {
     #[test]
     fn counter_samples_become_ph_c_events() {
         let spans = vec![span(1, None, "outer", 3)];
-        let json = chrome_trace_json_with_counters(&spans, &BTreeMap::new(), &eps_counters());
+        let json = chrome_trace_json(&spans, &BTreeMap::new(), &eps_counters());
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 2);
         assert!(json.contains("{\"name\":\"eps spent (root)\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"args\":{\"eps\":0.1}}"));
         assert!(json.contains("\"ts\":2.5,"));
         assert!(json.contains("{\"eps\":0.35}"));
         // Counters without spans still produce a valid document.
-        let only = chrome_trace_json_with_counters(&[], &BTreeMap::new(), &eps_counters());
+        let only = chrome_trace_json(&[], &BTreeMap::new(), &eps_counters());
         assert!(only.starts_with("{\"displayTimeUnit\""));
         assert!(only.ends_with("]}"));
         assert!(!only.contains("}{"));
@@ -325,51 +252,8 @@ mod tests {
              ]}}"
         );
         let mut buf = Vec::new();
-        write_chrome_trace_with_counters(&mut buf, &spans, &names, &eps_counters()).unwrap();
+        write_chrome_trace(&mut buf, &spans, &names, &eps_counters()).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), expected);
-    }
-
-    #[test]
-    fn aggregate_rows_become_synthetic_events_on_their_own_lane() {
-        use crate::json::{parse_value, JsonValue};
-        let aggs = vec![
-            AggregatedSpans {
-                name: "noisy_count",
-                detail: Some(Arc::from("part[*]/scale(x1)/root")),
-                count: 1200,
-                total_ns: 3_000,
-                child_ns: 500,
-            },
-            AggregatedSpans {
-                name: "noisy_sum",
-                detail: None,
-                count: 4,
-                total_ns: 1_000,
-                child_ns: 0,
-            },
-        ];
-        let spans = vec![span(1, None, "exec/run", 3)];
-        let json = chrome_trace_json_aggregated(&spans, &BTreeMap::new(), &[], &aggs);
-        // Dedicated lane gets a name; rows lie end-to-end on tid 0.
-        assert!(json.contains("{\"name\":\"aggregated spans\"}"));
-        assert!(json.contains(
-            "{\"name\":\"noisy_count\",\"cat\":\"dpnet-agg\",\"ph\":\"X\",\"ts\":0,\"dur\":3,\
-             \"pid\":1,\"tid\":0,\"args\":{\"count\":1200,\"self_us\":2.5,\
-             \"detail\":\"part[*]/scale(x1)/root\"}}"
-        ));
-        assert!(
-            json.contains("{\"name\":\"noisy_sum\",\"cat\":\"dpnet-agg\",\"ph\":\"X\",\"ts\":3,")
-        );
-        let doc = parse_value(&json).expect("aggregated trace is parseable JSON");
-        let events = doc.get("traceEvents").and_then(JsonValue::items).unwrap();
-        // 1 agg-lane meta + 1 span-track meta + 1 span + 2 aggregate rows.
-        assert_eq!(events.len(), 5);
-        // Without aggregate rows the document is unchanged from the
-        // counters-only writer (full mode stays byte-stable).
-        assert_eq!(
-            chrome_trace_json_aggregated(&spans, &BTreeMap::new(), &[], &[]),
-            chrome_trace_json(&spans, &BTreeMap::new())
-        );
     }
 
     #[test]
@@ -381,7 +265,7 @@ mod tests {
         ];
         let mut names = BTreeMap::new();
         names.insert(3u64, Arc::from("main"));
-        let json = chrome_trace_json_with_counters(&spans, &names, &eps_counters());
+        let json = chrome_trace_json(&spans, &names, &eps_counters());
         let doc = parse_value(&json).expect("emitted trace is parseable JSON");
         assert_eq!(
             doc.get("displayTimeUnit").and_then(JsonValue::as_str),

@@ -139,7 +139,7 @@ proptest! {
         }
 
         // The Chrome trace carries exactly one complete event per span.
-        let json = chrome_trace_json(&spans, &rec.track_names());
+        let json = chrome_trace_json(&spans, &rec.track_names(), &[]);
         prop_assert_eq!(json.matches("\"ph\":\"X\"").count(), spans.len());
     }
 
@@ -153,7 +153,7 @@ proptest! {
         run_program(0, &program);
         uninstall_recorder();
         let spans = rec.take();
-        let trace = chrome_trace_json(&spans, &rec.track_names());
+        let trace = chrome_trace_json(&spans, &rec.track_names(), &[]);
         for s in &spans {
             let j = s.to_json();
             if cfg!(feature = "trusted-owner") {

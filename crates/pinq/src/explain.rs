@@ -461,11 +461,6 @@ impl ExplainRecorder {
         }
     }
 
-    /// Drop everything recorded so far.
-    pub fn clear(&self) {
-        *lock(&self.state) = RecorderState::default();
-    }
-
     /// Snapshot the recorded aggregations into a report.
     pub fn report(&self) -> ExplainReport {
         let st = lock(&self.state);

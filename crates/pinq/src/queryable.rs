@@ -639,7 +639,7 @@ impl<T> Queryable<T> {
     /// `"part[3]/scale(x2)/root"`). Pure privacy metadata; when profiling
     /// is disabled this is one relaxed atomic load and nothing formats.
     fn agg_span(&self, name: &'static str, timed: bool) -> span::SpanGuard {
-        span::enter_agg_with(name, timed, || self.charge.describe())
+        span::enter_with(name, timed, || self.charge.describe())
     }
 
     /// Open an aggregation barrier's [`agg_span`](Self::agg_span) as an

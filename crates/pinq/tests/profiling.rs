@@ -268,7 +268,7 @@ fn pipeline_spans_serialize_without_record_fields_by_default() {
             .unwrap();
     });
     assert!(!spans.is_empty());
-    let trace = dpnet_obs::chrome_trace_json(&spans, &rec.track_names());
+    let trace = dpnet_obs::chrome_trace_json(&spans, &rec.track_names(), &[]);
     for json in spans.iter().map(|s| s.to_json()).chain([trace]) {
         if cfg!(feature = "trusted-owner") {
             continue;

@@ -28,7 +28,7 @@ if [ -n "$hits" ]; then
     echo "$hits" | sed 's/^/  /' >&2
     echo >&2
     echo "timer-seal: time a region with a dpnet_obs::span guard instead" >&2
-    echo "(span::enter / enter_with / enter_agg_with / enter_timed) and take" >&2
+    echo "(span::enter / enter_with / enter_timed) and take" >&2
     echo "event timings from it (see DESIGN.md, 'Profiling')." >&2
     exit 1
 fi
