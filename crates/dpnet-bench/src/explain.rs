@@ -1,22 +1,22 @@
 //! EXPLAIN / EXPLAIN ANALYZE — plan and privacy-cost introspection for the
 //! paper experiments, behind `dpnet explain`.
 //!
-//! [`run_explained`] runs one experiment through
-//! [`run_observed`] with a [`pinq::ExplainRecorder`] installed: every successful aggregation charge is folded into an
-//! [`ExplainReport`] — per (operator, charge-path) call counts, the ε the
-//! analyst requested, and the ε *predicted* to reach each budget root
-//! (after max-of-parts absorption). The prediction is the traced per-root
-//! delta captured under the ledger locks, so it equals what the
-//! accountants actually applied — the CI golden diff and the
-//! `explain_integration` test hold it to `Accountant::path_totals`.
+//! [`run_explained`] runs one experiment through [`run_observed`] with a
+//! [`pinq::ExplainRecorder`] installed: every successful aggregation
+//! charge is folded into an [`ExplainReport`] — per (operator,
+//! charge-path) call counts, the ε the analyst requested, and the ε
+//! *predicted* to reach each budget root (after max-of-parts absorption).
+//! The prediction is the traced per-root delta captured under the ledger
+//! locks, so it equals what the accountants actually applied — the CI
+//! golden diff and the `explain_integration` test hold it to
+//! `Accountant::path_totals`.
 //!
 //! With `analyze: true`, the run also installs the span profiler, and the
-//! captured events and spans fold into a [`pinq::Overlay`]:
-//! net ε per charge path (from the accountant's charge events), span
-//! self-time per operator, and plan-materialization counts. The optional
-//! Chrome trace gains one `"ph":"C"` counter track per budget — the ε
-//! burn-down, rendered by Perfetto as a stepped chart next to the worker
-//! lanes.
+//! captured events and spans fold into a [`pinq::Overlay`]: net ε per
+//! charge path (from the accountant's charge events), span self-time per
+//! operator, and plan-materialization counts. The optional Chrome trace
+//! gains one `"ph":"C"` counter track per budget — the ε burn-down,
+//! rendered by Perfetto as a stepped chart next to the worker lanes.
 
 use crate::profile::{run_observed, write_trace};
 use dpnet_obs::{attribution, CompletedSpan, CounterSample, Event};
