@@ -30,6 +30,7 @@
 
 use dpnet_toolkit::freqstrings::{frequent_strings, FrequentStringsConfig};
 use dpnet_toolkit::itemsets::{frequent_itemsets, ItemsetConfig};
+use dpnet_trace::tcp::Activation;
 use dpnet_trace::{FlowKey, Packet};
 use pinq::{Group, Queryable, Result};
 use std::collections::BTreeSet;
@@ -257,16 +258,11 @@ pub fn stepping_stones(
 }
 
 /// The faithful non-private reference (the paper's Perl script): exact
-/// sliding-window activations and exact Zhang-Paxson correlation for one
-/// ordered pair of flows.
-pub fn exact_pair_correlation(
-    packets: &[Packet],
-    a: &FlowKey,
-    b: &FlowKey,
-    t_idle_us: u64,
-    delta_us: u64,
-) -> f64 {
-    let acts = dpnet_trace::tcp::activations(packets, t_idle_us);
+/// Zhang-Paxson correlation for one ordered pair of flows, over the exact
+/// sliding-window activations of the whole trace
+/// (`dpnet_trace::tcp::activations`, computed once by the caller and
+/// shared by every pair).
+pub fn exact_pair_correlation(acts: &[Activation], a: &FlowKey, b: &FlowKey, delta_us: u64) -> f64 {
     let ta: Vec<u64> = acts
         .iter()
         .filter(|x| x.flow == *a)
@@ -387,21 +383,11 @@ mod tests {
             ..SteppingStoneConfig::default()
         };
         let pairs = stepping_stones(&q, &cfg).unwrap();
+        let acts = dpnet_trace::tcp::activations(&t.packets, cfg.t_idle_us);
         for p in pairs.iter().take(4) {
-            let exact = exact_pair_correlation(
-                &t.packets,
-                &p.flow_a,
-                &p.flow_b,
-                cfg.t_idle_us,
-                cfg.delta_us,
-            )
-            .max(exact_pair_correlation(
-                &t.packets,
-                &p.flow_b,
-                &p.flow_a,
-                cfg.t_idle_us,
-                cfg.delta_us,
-            ));
+            let exact = exact_pair_correlation(&acts, &p.flow_a, &p.flow_b, cfg.delta_us).max(
+                exact_pair_correlation(&acts, &p.flow_b, &p.flow_a, cfg.delta_us),
+            );
             assert!(
                 (p.noisy_correlation - exact).abs() < 0.35,
                 "noisy {} vs exact {exact}",
@@ -413,8 +399,9 @@ mod tests {
     #[test]
     fn exact_correlation_of_planted_pairs_is_high() {
         let t = trace();
+        let acts = dpnet_trace::tcp::activations(&t.packets, 500_000);
         for s in &t.truth.stones {
-            let c = exact_pair_correlation(&t.packets, &s.flow_a, &s.flow_b, 500_000, 40_000);
+            let c = exact_pair_correlation(&acts, &s.flow_a, &s.flow_b, 40_000);
             assert!(c > 0.5, "stone correlation {c} (rho {})", s.rho);
         }
     }
@@ -426,10 +413,9 @@ mod tests {
         // B-flow: unrelated trains.
         if t.truth.stones.len() >= 2 {
             let c = exact_pair_correlation(
-                &t.packets,
+                &dpnet_trace::tcp::activations(&t.packets, 500_000),
                 &t.truth.stones[0].flow_a,
                 &t.truth.stones[1].flow_b,
-                500_000,
                 40_000,
             );
             assert!(c < 0.3, "unrelated correlation {c}");

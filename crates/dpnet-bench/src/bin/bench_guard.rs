@@ -13,7 +13,10 @@
 //! than the threshold against the baseline. Wall times are compared as
 //! multiples of each report's own `calibration_ns` — the wall time of a
 //! fixed CPU spin measured on the machine that produced the report — so a
-//! baseline recorded on one machine remains meaningful on another.
+//! baseline recorded on one machine remains meaningful on another. It
+//! also fails when an experiment's exact `counts` differ from the
+//! baseline's, naming each differing key and the command that regenerates
+//! the baseline: a baseline recorded on other code measures other work.
 //!
 //! `speedup` fails (exit 1) if the parallel report's total wall time is not
 //! at least `--min` times faster than the sequential report's. When the
@@ -51,8 +54,9 @@
 //! oversubscribed.
 //!
 //! `golden` compares only the *semantic* fields of two reports — experiment
-//! ids, their `eps_charged`, and each phase's name and `eps_spent` — and
-//! ignores wall times entirely. CI runs a fast fixed-seed experiment and
+//! ids, their `eps_charged`, each phase's name and `eps_spent`, and the
+//! exact `counts` when the golden carries them — and ignores wall times
+//! entirely. CI runs a fast fixed-seed experiment and
 //! diffs it against a committed `GOLDEN_*.json` fixture: any drift in
 //! released values' privacy charges fails the build even on noisy runners.
 //!
@@ -79,6 +83,7 @@ use dpnet_obs::json::{parse_value, JsonValue};
 use dpnet_trace::flow::FlowKey;
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
 use std::time::Duration;
 
@@ -91,6 +96,9 @@ struct Experiment {
     eps_charged: f64,
     /// `(name, eps_spent)` per phase, in report order.
     phases: Vec<(String, f64)>,
+    /// Exact event counts by key; `None` when the entry carries none
+    /// (serve reports, and reports from before schema 4).
+    counts: Option<BTreeMap<String, u64>>,
     /// `(operator, totals)` per attribution row; `None` when the entry
     /// carries no attribution array at all.
     attribution: Option<Vec<(String, AttrTotals)>>,
@@ -161,6 +169,14 @@ impl Report {
                         })
                         .collect()
                 });
+                let counts = match e.get("counts") {
+                    Some(JsonValue::Obj(keys)) => Some(
+                        keys.iter()
+                            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()? as u64)))
+                            .collect(),
+                    ),
+                    _ => None,
+                };
                 let latency_percentiles = e.get("latency").is_some_and(|l| {
                     ["p50_ns", "p95_ns", "p99_ns"]
                         .iter()
@@ -171,6 +187,7 @@ impl Report {
                     wall_ns: num_u64(e, "wall_ns"),
                     eps_charged: num(e, "eps_charged").unwrap_or(f64::NAN),
                     phases,
+                    counts,
                     attribution,
                     latency_percentiles,
                 })
@@ -199,9 +216,8 @@ impl Report {
     }
 
     /// Every experiment's attribution rows, folded per operator.
-    fn attribution_totals(&self) -> std::collections::BTreeMap<String, AttrTotals> {
-        let mut out: std::collections::BTreeMap<String, AttrTotals> =
-            std::collections::BTreeMap::new();
+    fn attribution_totals(&self) -> BTreeMap<String, AttrTotals> {
+        let mut out: BTreeMap<String, AttrTotals> = BTreeMap::new();
         for (name, t) in self
             .experiments
             .iter()
@@ -214,6 +230,30 @@ impl Report {
         }
         out
     }
+}
+
+/// How `cur`'s exact counts differ from `reference`'s (named `label` in
+/// the messages): one message per differing or missing key, with both
+/// values. Empty when they match, and when `reference` predates counts.
+fn counts_drift(cur: &Experiment, reference: &Experiment, label: &str) -> Vec<String> {
+    let Some(want) = &reference.counts else {
+        return Vec::new();
+    };
+    let none = BTreeMap::new();
+    let have = cur.counts.as_ref().unwrap_or(&none);
+    let show = |n: Option<&u64>| n.map_or_else(|| "missing".to_string(), u64::to_string);
+    let keys: BTreeSet<&String> = have.keys().chain(want.keys()).collect();
+    keys.into_iter()
+        .filter(|k| have.get(*k) != want.get(*k))
+        .map(|k| {
+            format!(
+                "{}: count {k} {} vs {label} {}",
+                cur.id,
+                show(have.get(k)),
+                show(want.get(k))
+            )
+        })
+        .collect()
 }
 
 /// Read and parse the run report at `path`; `require_calibration` also
@@ -246,6 +286,16 @@ fn cmd_compare(current: &str, baseline: &str, threshold: f64) -> i32 {
     };
     let (cur_walls, base_walls) = (cur.walls(), base.walls());
     let mut failed = false;
+    let mut counts_differ = false;
+    for c in &cur.experiments {
+        let Some(b) = base.experiments.iter().find(|b| b.id == c.id) else {
+            continue;
+        };
+        for d in counts_drift(c, b, "baseline") {
+            eprintln!("[COUNTS] {d}");
+            counts_differ = true;
+        }
+    }
     for (id, wall) in &cur_walls {
         let Some((_, base_wall)) = base_walls.iter().find(|(b, _)| b == id) else {
             eprintln!("[skip] {id}: not in baseline");
@@ -274,10 +324,19 @@ fn cmd_compare(current: &str, baseline: &str, threshold: f64) -> i32 {
             "bench_guard: wall-clock regression beyond {threshold:.0}% threshold",
             threshold = threshold * 100.0
         );
-        1
-    } else {
-        0
     }
+    if counts_differ {
+        let name = std::path::Path::new(baseline)
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or(baseline);
+        eprintln!(
+            "bench_guard: exact counts differ from the baseline; if the change is \
+             intended, regenerate it with:\n  {}",
+            regenerate_hint(name)
+        );
+    }
+    i32::from(failed || counts_differ)
 }
 
 /// Surface a skipped gate in the GitHub Actions checks UI. Silent `[skip]`
@@ -461,7 +520,7 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
 
     // Align by operator name; normalize to calibration units so reports
     // from different machines stay comparable.
-    let names: std::collections::BTreeSet<&String> = a_rows.keys().chain(b_rows.keys()).collect();
+    let names: BTreeSet<&String> = a_rows.keys().chain(b_rows.keys()).collect();
     let mut diff: Vec<(&str, f64, f64, u64, u64)> = names
         .into_iter()
         .map(|name| {
@@ -498,7 +557,7 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
         );
     }
 
-    let top = |rows: &std::collections::BTreeMap<String, AttrTotals>, label: &str| {
+    let top = |rows: &BTreeMap<String, AttrTotals>, label: &str| {
         let mut by_self: Vec<(&String, u64)> = rows.iter().map(|(n, r)| (n, r.self_ns)).collect();
         by_self.sort_by_key(|row| std::cmp::Reverse(row.1));
         let names: Vec<String> = by_self
@@ -856,9 +915,17 @@ fn cmd_golden(current: &str, golden: &str) -> i32 {
                 }
             }
         }
+        for d in counts_drift(c, g, "golden") {
+            eprintln!("[DRIFT] {d}");
+            failed = true;
+        }
         if failed == failed_before {
+            let counts = g
+                .counts
+                .as_ref()
+                .map_or_else(String::new, |m| format!(" and {} counts", m.len()));
             println!(
-                "[ok] {}: eps_charged and {} phases match",
+                "[ok] {}: eps_charged, {} phases{counts} match",
                 g.id,
                 g.phases.len()
             );
@@ -1095,7 +1162,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{"target":"fig1","workers":4,"calibration_ns":1000,"generated_at_s":1,"experiments":[{"id":"fig1","wall_ns":5000,"eps_charged":1,"phases":[{"name":"p","eps_spent":1,"wall_ns":9}]},{"id":"worm","wall_ns":7000,"eps_charged":1,"phases":[]}],"metrics":{}}"#;
+    const SAMPLE: &str = r#"{"target":"fig1","workers":4,"calibration_ns":1000,"generated_at_s":1,"experiments":[{"id":"fig1","wall_ns":5000,"eps_charged":1,"counts":{"aggregate.noisy_count":2,"charge":2,"phase.p":1},"phases":[{"name":"p","eps_spent":1,"wall_ns":9}]},{"id":"worm","wall_ns":7000,"eps_charged":1,"counts":{},"phases":[]}]}"#;
 
     #[test]
     fn charge_path_grammar_accepts_kernel_shapes() {
@@ -1195,6 +1262,57 @@ mod tests {
         assert!(exps.iter().all(|e| e.eps_charged == 1.0));
         assert_eq!(exps[0].phases, vec![("p".to_string(), 1.0)]);
         assert!(exps[1].phases.is_empty());
+        let counts = exps[0].counts.as_ref().unwrap();
+        assert_eq!(counts["aggregate.noisy_count"], 2);
+        assert_eq!(counts.len(), 3);
+        assert_eq!(exps[1].counts, Some(BTreeMap::new()));
+    }
+
+    /// SAMPLE's fig1 entry with one count changed by `edit`.
+    fn fig1_with(edit: impl FnOnce(&mut BTreeMap<String, u64>)) -> Experiment {
+        let mut e = Report::parse(SAMPLE).unwrap().experiments.remove(0);
+        edit(e.counts.as_mut().unwrap());
+        e
+    }
+
+    #[test]
+    fn counts_drift_names_a_changed_value_with_both_values() {
+        let base = fig1_with(|_| {});
+        let cur = fig1_with(|c| *c.get_mut("charge").unwrap() = 3);
+        assert_eq!(
+            counts_drift(&cur, &base, "baseline"),
+            ["fig1: count charge 3 vs baseline 2"]
+        );
+    }
+
+    #[test]
+    fn counts_drift_names_an_extra_or_missing_key() {
+        let base = fig1_with(|_| {});
+        let cur = fig1_with(|c| {
+            c.insert("plan".to_string(), 1);
+        });
+        assert_eq!(
+            counts_drift(&cur, &base, "golden"),
+            ["fig1: count plan 1 vs golden missing"]
+        );
+        assert_eq!(
+            counts_drift(&base, &cur, "golden"),
+            ["fig1: count plan missing vs golden 1"]
+        );
+        // A current run without counts misses every key of the reference.
+        let mut bare = base.clone();
+        bare.counts = None;
+        assert_eq!(counts_drift(&bare, &base, "golden").len(), 3);
+    }
+
+    #[test]
+    fn counts_drift_passes_identical_maps_and_count_free_references() {
+        let base = fig1_with(|_| {});
+        assert!(counts_drift(&base.clone(), &base, "baseline").is_empty());
+        // A reference from before schema 4 carries no counts to gate on.
+        let mut old = base.clone();
+        old.counts = None;
+        assert!(counts_drift(&fig1_with(|c| c.clear()), &old, "golden").is_empty());
     }
 
     #[test]
@@ -1287,8 +1405,7 @@ mod tests {
              \"experiments\":[{{\"id\":\"loadtest\",\"wall_ns\":1,\"eps_charged\":0.5,\
              \"phases\":[],\"attribution\":[],\"latency\":{{\"sessions\":4,\
              \"requests\":16,\"ok\":12,\"budget_exhausted\":4,\"invalid\":0,\
-             \"p50_ns\":100,\"p95_ns\":200,\"p99_ns\":300,\"max_ns\":400}}}}],\
-             \"metrics\":{{}}}}"
+             \"p50_ns\":100,\"p95_ns\":200,\"p99_ns\":300,\"max_ns\":400}}}}]}}"
         );
         let status = check_fixture_text("BENCH_serve.json", &full).unwrap();
         assert!(status.contains("latency percentiles present"), "{status}");

@@ -3,10 +3,12 @@
 //! Every experiment harness target pulls its data from here, so all
 //! tables/figures are computed over the same traces (as in the paper, where
 //! all Hotspot experiments share one capture). Datasets are generated once
-//! per process and cached. Scales are chosen so the full suite runs in
-//! minutes on a laptop; the generators accept larger scales for paper-sized
-//! runs.
+//! per process and cached; a profiled run sees each generation as one
+//! `dataset/<name>` span rather than as unattributed time. Scales are
+//! chosen so the full suite runs in minutes on a laptop; the generators
+//! accept larger scales for paper-sized runs.
 
+use dpnet_obs::span;
 use dpnet_trace::gen::hotspot::{self, HotspotConfig, HotspotTrace};
 use dpnet_trace::gen::isp::{self, IspConfig, IspTrace};
 use dpnet_trace::gen::scatter::{self, ScatterConfig, ScatterTrace};
@@ -17,7 +19,10 @@ use std::sync::{Arc, OnceLock};
 /// paper's capture had 7.0 M — same structure, smaller constant).
 pub fn hotspot() -> &'static HotspotTrace {
     static CACHE: OnceLock<HotspotTrace> = OnceLock::new();
-    CACHE.get_or_init(|| hotspot::generate(HotspotConfig::default()))
+    CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/hotspot");
+        hotspot::generate(HotspotConfig::default())
+    })
 }
 
 /// The experiment Hotspot packets as `Arc`-shared shards, built once per
@@ -28,13 +33,17 @@ pub fn hotspot() -> &'static HotspotTrace {
 /// order, so releases are bit-identical to views over the row vector.
 pub fn hotspot_shards() -> &'static Vec<Arc<Vec<Packet>>> {
     static CACHE: OnceLock<Vec<Arc<Vec<Packet>>>> = OnceLock::new();
-    CACHE.get_or_init(|| hotspot().packet_shards())
+    CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/hotspot_shards");
+        hotspot().packet_shards()
+    })
 }
 
 /// A reduced Hotspot trace for quick runs and 1/10th-data experiments.
 pub fn hotspot_tenth() -> &'static HotspotTrace {
     static CACHE: OnceLock<HotspotTrace> = OnceLock::new();
     CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/hotspot_tenth");
         let mut cfg = HotspotConfig::default();
         cfg.web_flows /= 10;
         cfg.itemset_hosts /= 10;
@@ -48,13 +57,17 @@ pub fn hotspot_tenth() -> &'static HotspotTrace {
 /// density.
 pub fn isp() -> &'static IspTrace {
     static CACHE: OnceLock<IspTrace> = OnceLock::new();
-    CACHE.get_or_init(|| isp::generate(IspConfig::default()))
+    CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/isp");
+        isp::generate(IspConfig::default())
+    })
 }
 
 /// A reduced ISP dataset for unit-test-speed runs.
 pub fn isp_small() -> &'static IspTrace {
     static CACHE: OnceLock<IspTrace> = OnceLock::new();
     CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/isp_small");
         isp::generate(IspConfig {
             links: 60,
             windows: 144,
@@ -68,7 +81,10 @@ pub fn isp_small() -> &'static IspTrace {
 /// topology.
 pub fn scatter() -> &'static ScatterTrace {
     static CACHE: OnceLock<ScatterTrace> = OnceLock::new();
-    CACHE.get_or_init(|| scatter::generate(ScatterConfig::default()))
+    CACHE.get_or_init(|| {
+        let _span = span::enter("dataset/scatter");
+        scatter::generate(ScatterConfig::default())
+    })
 }
 
 /// The paper's three privacy levels: high, medium, and low privacy.

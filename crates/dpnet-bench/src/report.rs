@@ -8,10 +8,15 @@
 //! the experiments ran — phase events from the toolkit, charge/aggregate
 //! events from the engine — and turns them into the per-phase ε/latency
 //! budget report `repro` prints, plus a timestamped `BENCH_<target>.json`
-//! for dashboards and regression tracking.
+//! for dashboards and regression tracking. Each experiment in that report
+//! carries its exact event `counts` (aggregations per operator, kernel
+//! runs per kernel, plan materializations, charges, …): the work the
+//! engine did, the same at any worker count, which `bench_guard` gates
+//! against the golden and the baseline fixtures.
 
 use dpnet_obs::json::{escape, number};
-use dpnet_obs::{attribution, unix_time_s, AttributionRow, CompletedSpan, Event, MetricsRegistry};
+use dpnet_obs::{attribution, unix_time_s, AttributionRow, CompletedSpan, Event};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -121,6 +126,12 @@ pub struct ExperimentRun {
     pub eps_charged: f64,
     /// Named phases, in emission order.
     pub phases: Vec<PhaseLine>,
+    /// Exact event counts, one key per event kind and name:
+    /// `<kind>.<name>` for `aggregate` (operator), `exec` (kernel),
+    /// `transform` (operator) and `phase` (name); `<kind>` alone for
+    /// `charge`, `plan` and `session`. `None` for serving runs, which
+    /// observe no events. Schema 4.
+    pub counts: Option<BTreeMap<String, u64>>,
     /// Per-operator time attribution from profiler spans (top rows by
     /// self-time, descending). Empty when the run was not profiled.
     pub attribution: Vec<AttributionRow>,
@@ -174,8 +185,10 @@ pub const ATTRIBUTION_TOP: usize = 10;
 /// section: request/latency percentiles from `dpnet loadtest`). Schema 3
 /// reports may also carry `nproc`, the CPUs the run could use, and, on a
 /// profiled experiment, `unattributed_ns`; readers treat either one's
-/// absence as unknown, so adding them needed no bump.
-pub const SCHEMA_VERSION: u64 = 3;
+/// absence as unknown, so adding them needed no bump;
+/// 4 = exact per-experiment `counts` (see [`ExperimentRun::counts`])
+/// replace the top-level `metrics` dump.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Wall time of a fixed CPU-bound spin, measured on this machine right
 /// now (best of three to dodge scheduler noise). Recorded in every run
@@ -210,7 +223,6 @@ pub struct RunReport {
     nproc: usize,
     calibration_ns: u64,
     runs: Vec<ExperimentRun>,
-    registry: MetricsRegistry,
 }
 
 impl RunReport {
@@ -223,7 +235,6 @@ impl RunReport {
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             calibration_ns: calibrate_ns(),
             runs: Vec::new(),
-            registry: MetricsRegistry::new(),
         }
     }
 
@@ -232,17 +243,11 @@ impl RunReport {
         self.workers = workers;
     }
 
-    /// The metrics registry fed by [`RunReport::record`]; exposed so
-    /// callers can add their own counters before export.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Record one finished experiment and the events captured while it ran.
-    /// Profiler spans captured during the experiment (if any) fold into a
-    /// per-operator time-attribution table (top [`ATTRIBUTION_TOP`] rows by
-    /// self-time). Returns the recorded run, for fields only the caller
-    /// knows.
+    /// Record one finished experiment and the events captured while it ran,
+    /// counting them into [`ExperimentRun::counts`]. Profiler spans
+    /// captured during the experiment (if any) fold into a per-operator
+    /// time-attribution table (top [`ATTRIBUTION_TOP`] rows by self-time).
+    /// Returns the recorded run, for fields only the caller knows.
     pub fn record(
         &mut self,
         id: &str,
@@ -252,45 +257,36 @@ impl RunReport {
     ) -> &mut ExperimentRun {
         let mut phases = Vec::new();
         let mut eps_charged = 0.0;
+        // Keyed by borrowed names: a key is owned once, below, not per event.
+        let mut counts: BTreeMap<(&str, Option<&str>), u64> = BTreeMap::new();
         for ev in events {
-            self.registry
-                .counter(&format!("events.{}", ev.kind()))
-                .inc();
-            match ev {
+            let name = match ev {
                 Event::Phase(p) => {
-                    self.registry
-                        .histogram(&format!("phase.{}.wall_ns", p.name))
-                        .record_ns(p.wall_ns);
                     phases.push(PhaseLine {
                         name: p.name.to_string(),
                         eps_spent: p.eps_spent,
                         wall_ns: p.wall_ns,
                     });
+                    Some(&*p.name)
                 }
-                Event::Charge(c) => eps_charged += c.epsilon,
-                Event::Aggregate(a) => {
-                    self.registry
-                        .histogram(&format!("aggregate.{}.wall_ns", a.operator))
-                        .record_ns(a.wall_ns);
+                Event::Charge(c) => {
+                    eps_charged += c.epsilon;
+                    None
                 }
-                Event::Exec(e) => {
-                    self.registry
-                        .histogram(&format!("exec.{}.wall_ns", e.kernel))
-                        .record_ns(e.wall_ns);
-                }
-                Event::Plan(p) => {
-                    self.registry.counter("plan.materializations").inc();
-                    self.registry
-                        .histogram("plan.materialize.wall_ns")
-                        .record_ns(p.wall_ns);
-                }
-                Event::Transform(_) | Event::Session(_) => {}
-            }
+                Event::Aggregate(a) => Some(a.operator),
+                Event::Exec(e) => Some(e.kernel),
+                Event::Transform(t) => Some(t.operator),
+                Event::Plan(_) | Event::Session(_) => None,
+            };
+            *counts.entry((ev.kind(), name)).or_default() += 1;
         }
-        self.registry.counter("experiments.completed").inc();
-        self.registry
-            .histogram("experiment.wall_ns")
-            .record_ns(wall_ns);
+        let counts = counts
+            .into_iter()
+            .map(|((kind, name), n)| match name {
+                Some(name) => (format!("{kind}.{name}"), n),
+                None => (kind.to_string(), n),
+            })
+            .collect();
         let mut rows = attribution(spans);
         rows.truncate(ATTRIBUTION_TOP);
         self.runs.push(ExperimentRun {
@@ -298,6 +294,7 @@ impl RunReport {
             wall_ns,
             eps_charged,
             phases,
+            counts: Some(counts),
             attribution: rows,
             unattributed_ns: None,
             latency: None,
@@ -315,18 +312,12 @@ impl RunReport {
         eps_charged: f64,
         latency: LatencySummary,
     ) {
-        self.registry.counter("experiments.completed").inc();
-        self.registry
-            .histogram("experiment.wall_ns")
-            .record_ns(wall_ns);
-        self.registry
-            .histogram("serve.request_p50_ns")
-            .record_ns(latency.p50_ns);
         self.runs.push(ExperimentRun {
             id: id.to_string(),
             wall_ns,
             eps_charged,
             phases: Vec::new(),
+            counts: None,
             attribution: Vec::new(),
             unattributed_ns: None,
             latency: Some(latency),
@@ -428,6 +419,13 @@ impl RunReport {
             out.push_str(&format!("\"id\":{},", escape(&run.id)));
             out.push_str(&format!("\"wall_ns\":{},", run.wall_ns));
             out.push_str(&format!("\"eps_charged\":{},", number(run.eps_charged)));
+            if let Some(counts) = &run.counts {
+                let fields: Vec<String> = counts
+                    .iter()
+                    .map(|(key, n)| format!("{}:{n}", escape(key)))
+                    .collect();
+                out.push_str(&format!("\"counts\":{{{}}},", fields.join(",")));
+            }
             out.push_str("\"phases\":[");
             for (j, p) in run.phases.iter().enumerate() {
                 if j > 0 {
@@ -476,9 +474,7 @@ impl RunReport {
             }
             out.push('}');
         }
-        out.push_str("],");
-        out.push_str(&format!("\"metrics\":{}", self.registry.to_json()));
-        out.push('}');
+        out.push_str("]}");
         out
     }
 
@@ -577,9 +573,10 @@ mod tests {
         assert!(text.contains("fig1"));
         assert!(text.contains("cdf_partition"));
         assert!(text.contains("0.500"));
-        assert_eq!(r.registry().counter("experiments.completed").get(), 1);
-        assert_eq!(r.registry().counter("events.phase").get(), 1);
-        assert_eq!(r.registry().counter("events.exec").get(), 1);
+        let counts = r.runs[0].counts.as_ref().expect("recorded runs count");
+        assert_eq!(counts["phase.cdf_partition"], 1);
+        assert_eq!(counts["charge"], 1);
+        assert_eq!(counts["exec.partition"], 1);
     }
 
     #[test]
@@ -710,10 +707,11 @@ mod tests {
         r.record("fig1", 5_000_000, &sample_events(), &sample_spans());
         let json = r.to_json();
         let start = json.find("\"experiments\":").expect("experiments key");
-        let end = json.find(",\"metrics\":").expect("metrics key");
+        let end = json.len() - 1; // the experiments array closes the report
         assert_eq!(
             &json[start..end],
             "\"experiments\":[{\"id\":\"fig1\",\"wall_ns\":5000000,\"eps_charged\":0.5,\
+             \"counts\":{\"charge\":1,\"exec.partition\":1,\"phase.cdf_partition\":1},\
              \"phases\":[{\"name\":\"cdf_partition\",\"eps_spent\":0.5,\"wall_ns\":2000000}],\
              \"attribution\":[\
              {\"name\":\"plan/materialize\",\"count\":1,\"total_ns\":700,\"self_ns\":700},\

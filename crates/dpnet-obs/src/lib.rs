@@ -3,11 +3,12 @@
 //! The paper's setting is *mediated* trace analysis: a data owner runs
 //! analyses on behalf of researchers and must be able to see — and justify —
 //! exactly what privacy budget was spent, by which operator, and when
-//! (paper §2, §7). This crate is the substrate for that: hand-rolled atomic
-//! [`Counter`]s and fixed-bucket latency [`Histogram`]s, hierarchical
+//! (paper §2, §7). This crate is the substrate for that: hierarchical
 //! [`span`]s (whose guards are the one timer every timed event draws on), a
 //! pluggable [`EventSink`] for structured engine events, and a tiny JSON
-//! layer for the owner-side JSONL audit export. No external dependencies.
+//! layer for the owner-side JSONL audit export. Counting is left to the
+//! consumer of the events: a run report folds them into exact
+//! per-experiment counts. No external dependencies.
 //!
 //! ## The privacy-safety rule
 //!
@@ -46,7 +47,6 @@
 pub mod clock;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod sink;
 pub mod span;
 pub mod trace_export;
@@ -64,7 +64,6 @@ pub use event::{
     AggregateEvent, ChargeEvent, Event, ExecEvent, Outcome, PhaseEvent, PlanEvent, SessionEvent,
     TransformEvent,
 };
-pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use sink::{
     emit_phase_global, global_sink, set_global_sink, EventSink, JsonlSink, MemorySink, NullSink,
     SinkHandle,
