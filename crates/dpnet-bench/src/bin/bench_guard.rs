@@ -77,6 +77,7 @@
 //! and wall times cannot.
 
 use dpnet_bench::datasets;
+use dpnet_bench::experiments::Results;
 use dpnet_bench::profile::{best_of, run_observed, ObservedRun, IDS};
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
 use dpnet_obs::json::{parse_value, JsonValue};
@@ -584,7 +585,7 @@ fn run_baseline_experiment(id: &str, pool: &ExecPool) -> Result<ObservedRun, Str
             BASELINE_IDS.join(" ")
         ));
     }
-    run_observed(id, pool, false, false)
+    run_observed(id, pool, &mut Results::default(), false, false)
 }
 
 fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {

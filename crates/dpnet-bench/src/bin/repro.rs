@@ -4,9 +4,7 @@
 //!
 //! ```text
 //! repro all                 # every experiment, in paper order
-//! repro <id> [<id> ...]     # one or more of:
-//!       table1 example23 fig1 table4 itemsets fig2 worm fig3
-//!       table5 fig4 fig5 table2
+//! repro <id> [<id> ...]     # one or more ids (`repro --help` lists them)
 //! repro --workers N <id>…   # run fig1, itemsets and worm on N workers
 //! repro --profile <id>…     # record spans; adds per-operator attribution
 //! ```
@@ -15,15 +13,17 @@
 //! exit 2, with the id list or the flag on stderr, and no report written.
 //!
 //! With `--workers N` (N ≥ 1), the experiments that take a pool (`fig1`,
-//! `itemsets`, `worm`) run on a shared N-worker [`pinq::ExecPool`]; the
-//! rest run on the one-worker pool, on the calling thread.
+//! `itemsets`, `worm`, and `table2` when it runs `worm` itself) run on a
+//! shared N-worker [`pinq::ExecPool`]; the rest run on the calling thread.
 //! Output is deterministic: for a fixed seed, any two worker counts
 //! produce identical results. The report target gains a
 //! `-wN` suffix when N > 1, so `BENCH_fig1.json` and `BENCH_fig1-w4.json`
 //! can be compared side by side.
 //!
 //! Each experiment runs through [`run_observed`], which binds a memory
-//! event sink, so every engine charge and toolkit phase is captured. After
+//! event sink, so every engine charge and toolkit phase is captured. One
+//! [`Results`] store serves the whole run, so `table2` reads the results of
+//! the experiments that ran before it and runs only the rest. After
 //! the experiment output, `repro` prints a per-phase ε/latency budget
 //! report and writes `bench-reports/BENCH_<target>.json` with the same
 //! data in machine-readable form.
@@ -35,6 +35,7 @@
 //! with a Chrome trace, use `dpnet profile`; for an experiment's predicted
 //! ε per charge path, `dpnet explain <id>`.)
 
+use dpnet_bench::experiments::Results;
 use dpnet_bench::profile::{run_observed, IDS};
 use dpnet_bench::report::RunReport;
 use pinq::ExecPool;
@@ -125,9 +126,10 @@ fn main() {
     let mut report = RunReport::new(&target);
     report.set_workers(workers);
 
+    let mut results = Results::default();
     let mut failed = false;
     for id in ids {
-        match run_observed(id, &pool, profile, false) {
+        match run_observed(id, &pool, &mut results, profile, false) {
             Ok(run) => {
                 println!("{}", run.output);
                 println!(

@@ -9,7 +9,9 @@
 use crate::datasets::{self, EPSILONS};
 use crate::report::{f, header, pct, Table};
 use dpnet_analyses::flow_stats::{connection_size_cdf, connection_size_cdf_exact};
+use dpnet_obs::span;
 use dpnet_toolkit::stats::relative_rmse;
+use dpnet_trace::{annotate_connections, flow::assemble_conversations, Proto};
 use pinq::{Accountant, NoiseSource, Queryable};
 
 /// Results of the connection-size experiment.
@@ -27,19 +29,21 @@ pub struct ConnResult {
 pub fn run() -> (ConnResult, String) {
     let trace = datasets::hotspot();
     let max_packets = 150;
-    let exact = connection_size_cdf_exact(&trace.packets, max_packets);
-    let conversations = dpnet_trace::flow::assemble_conversations(
-        &trace
-            .packets
-            .iter()
-            .filter(|p| p.proto == dpnet_trace::Proto::Tcp)
-            .cloned()
-            .collect::<Vec<_>>(),
-    )
-    .len();
+    let exact = {
+        let _span = span::enter("harness/exact_cdf");
+        connection_size_cdf_exact(&trace.packets, max_packets)
+    };
+    let conversations = {
+        let _span = span::enter("harness/conversations");
+        let tcp = trace.packets.iter().filter(|p| p.proto == Proto::Tcp);
+        assemble_conversations(&tcp.cloned().collect::<Vec<_>>()).len()
+    };
 
     // Owner-side pre-processing, then protection.
-    let annotated = dpnet_trace::annotate_connections(&trace.packets);
+    let annotated = {
+        let _span = span::enter("harness/annotate_connections");
+        annotate_connections(&trace.packets)
+    };
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0xc0);
     let q = Queryable::new(annotated, &budget, &noise);

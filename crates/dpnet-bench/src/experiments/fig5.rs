@@ -12,8 +12,12 @@
 use crate::datasets;
 use crate::report::{f, header, Table};
 use dpnet_analyses::topology::{private_topology_clusters, TopologyConfig};
+use dpnet_obs::span;
 use dpnet_toolkit::kmeans::{clustering_rmse, kmeans_baseline, random_centers};
 use pinq::{Accountant, NoiseSource, Queryable};
+
+/// The paper's iteration count, which `repro fig5` and Table 2 use.
+pub const ITERATIONS: usize = 10;
 
 /// Results of the Figure 5 reproduction.
 #[derive(Debug, Clone)]
@@ -29,6 +33,7 @@ pub struct Fig5 {
 /// Compute the objective trajectory of a clustering run against the exact
 /// vectors.
 fn objectives(vectors: &[Vec<f64>], centers: &[Vec<Vec<f64>>]) -> Vec<f64> {
+    let _span = span::enter("harness/objectives");
     centers
         .iter()
         .map(|c| clustering_rmse(vectors, c))
@@ -38,15 +43,18 @@ fn objectives(vectors: &[Vec<f64>], centers: &[Vec<Vec<f64>>]) -> Vec<f64> {
 /// Run Figure 5 on the standard IPscatter dataset.
 pub fn run(iterations: usize) -> (Fig5, String) {
     let trace = datasets::scatter();
-    let exact_vectors: Vec<Vec<f64>> = trace
-        .vectors_mean_imputed()
-        .into_iter()
-        .map(|(_, v)| v)
-        .collect();
+    let exact_vectors: Vec<Vec<f64>> = {
+        let _span = span::enter("harness/impute");
+        let vectors = trace.vectors_mean_imputed();
+        vectors.into_iter().map(|(_, v)| v).collect()
+    };
     // "initialized to a common random set of vectors for each execution"
     let init = random_centers(9, 38, 5.0, 25.0, 0xf5);
 
-    let base = kmeans_baseline(&exact_vectors, iterations, init.clone());
+    let base = {
+        let _span = span::enter("harness/kmeans_baseline");
+        kmeans_baseline(&exact_vectors, iterations, init.clone())
+    };
     let baseline = objectives(&exact_vectors, &base.centers);
 
     let mut private = Vec::new();

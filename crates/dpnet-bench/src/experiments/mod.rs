@@ -15,7 +15,7 @@
 //! | [`fig5`] | Figure 5 — clustering error vs iteration |
 //! | [`table2`] | Table 2 — analysis summary |
 //!
-//! Beyond the paper's figures, four experiments cover what the paper
+//! Beyond the paper's figures, six experiments cover what the paper
 //! mentions but does not show:
 //!
 //! | module | covers |
@@ -24,6 +24,11 @@
 //! | [`connections_exp`] | §5.2.1 — packets-per-connection via owner pre-processing |
 //! | [`principals`] | §3 — privacy-principal granularity cost |
 //! | [`ablation`] | composition-rule ablation + privacy-accuracy sweep |
+//! | [`graphdist_exp`] | §5.3 — degree CDFs easy, max degree impossible |
+//! | [`classify_exp`] | §5.1.3 — private traffic classification |
+//!
+//! An experiment's noise-free baselines and owner-side pre-processing run
+//! in `harness/<step>` spans, so a profiled run attributes their time.
 
 pub mod ablation;
 pub mod classify_exp;
@@ -43,3 +48,14 @@ pub mod table2;
 pub mod table4;
 pub mod table5;
 pub mod worm_exp;
+
+/// The typed results that [`table2`] summarizes, kept by the driver of one
+/// run: one per `repro` process, a fresh one per timed run elsewhere.
+#[derive(Debug, Default)]
+pub struct Results {
+    pub(crate) fig2: Option<fig2::Fig2>,
+    pub(crate) worm: Option<worm_exp::WormResult>,
+    pub(crate) fig3: Option<fig3::Fig3>,
+    pub(crate) table5: Option<Vec<table5::Table5Row>>,
+    pub(crate) fig5: Option<fig5::Fig5>,
+}

@@ -18,6 +18,7 @@
 //! gains one `"ph":"C"` counter track per budget — the ε burn-down,
 //! rendered by Perfetto as a stepped chart next to the worker lanes.
 
+use crate::experiments::Results;
 use crate::profile::{run_observed, write_trace};
 use dpnet_obs::{attribution, CompletedSpan, CounterSample, Event};
 use pinq::explain::normalize_path;
@@ -93,7 +94,8 @@ impl ExplainOutcome {
 /// and attach the measured overlay.
 pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
     let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
-    let run = run_observed(&cfg.experiment, &pool, cfg.analyze, true)?;
+    let mut results = Results::default();
+    let run = run_observed(&cfg.experiment, &pool, &mut results, cfg.analyze, true)?;
     let report = run.explain.expect("the explain recorder was installed");
 
     let mut overlay = None;

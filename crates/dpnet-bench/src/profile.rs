@@ -17,7 +17,7 @@
 //! [`best_of`]) — CI uses this to keep the profiler honest.
 
 use crate::datasets;
-use crate::experiments as exp;
+use crate::experiments::{self as exp, Results};
 use crate::report::RunReport;
 use dpnet_obs::span::current_track;
 use dpnet_obs::{
@@ -33,53 +33,63 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Every experiment id, in paper order.
-pub const IDS: [&str; 18] = [
-    "table1",
-    "example23",
-    "fig1",
-    "table4",
-    "itemsets",
-    "fig2",
-    "worm",
-    "fig3",
-    "table5",
-    "fig4",
-    "fig5",
-    "table2",
-    "rules",
-    "connections",
-    "principals",
-    "ablation",
-    "graphdist",
-    "classify",
+type Runner = fn(&ExecPool, &mut Results) -> Result<String, String>;
+
+/// Every experiment, in paper order, with its runner: [`IDS`], `repro`'s
+/// usage text and [`run_experiment`]'s id check derive from this table.
+const EXPERIMENTS: [(&str, Runner); 18] = [
+    ("table1", |_, _| Ok(exp::table1::run(3000).1)),
+    ("example23", |_, _| Ok(exp::example23::run(400).1)),
+    ("fig1", |p, _| {
+        Ok(exp::fig1::run(1.0, p).map_err(|e| e.to_string())?.1)
+    }),
+    ("table4", |_, _| Ok(exp::table4::run(10, 1.0).1)),
+    ("itemsets", |p, _| Ok(exp::itemsets_exp::run(1.0, p).1)),
+    ("fig2", |_, r| keep(exp::fig2::run(), &mut r.fig2)),
+    ("worm", |p, r| {
+        keep(exp::worm_exp::run(datasets::hotspot(), p), &mut r.worm)
+    }),
+    ("fig3", |_, r| keep(exp::fig3::run(), &mut r.fig3)),
+    ("table5", |_, r| keep(exp::table5::run(), &mut r.table5)),
+    ("fig4", |_, _| Ok(exp::fig4::run().1)),
+    ("fig5", |_, r| {
+        keep(exp::fig5::run(exp::fig5::ITERATIONS), &mut r.fig5)
+    }),
+    ("table2", |p, r| Ok(exp::table2::run(r, p).1)),
+    ("rules", |_, _| Ok(exp::rules_exp::run().1)),
+    ("connections", |_, _| Ok(exp::connections_exp::run().1)),
+    ("principals", |_, _| Ok(exp::principals::run(400).1)),
+    ("ablation", |_, _| Ok(exp::ablation::run().1)),
+    ("graphdist", |_, _| Ok(exp::graphdist_exp::run().1)),
+    ("classify", |_, _| Ok(exp::classify_exp::run().1)),
 ];
 
-/// Run one experiment by id on `pool`, returning its printable output.
-pub fn run_experiment(id: &str, pool: &ExecPool) -> Result<String, String> {
-    match id {
-        "table1" => Ok(exp::table1::run(3000).1),
-        "example23" => Ok(exp::example23::run(400).1),
-        "fig1" => exp::fig1::run(1.0, pool)
-            .map(|(_, s)| s)
-            .map_err(|e| e.to_string()),
-        "table4" => Ok(exp::table4::run(10, 1.0).1),
-        "itemsets" => Ok(exp::itemsets_exp::run(1.0, pool).1),
-        "fig2" => Ok(exp::fig2::run().1),
-        "worm" => Ok(exp::worm_exp::run(datasets::hotspot(), pool).1),
-        "fig3" => Ok(exp::fig3::run().1),
-        "table5" => Ok(exp::table5::run().1),
-        "fig4" => Ok(exp::fig4::run().1),
-        "fig5" => Ok(exp::fig5::run(10).1),
-        "table2" => Ok(exp::table2::run().1),
-        "rules" => Ok(exp::rules_exp::run().1),
-        "connections" => Ok(exp::connections_exp::run().1),
-        "principals" => Ok(exp::principals::run(400).1),
-        "ablation" => Ok(exp::ablation::run().1),
-        "graphdist" => Ok(exp::graphdist_exp::run().1),
-        "classify" => Ok(exp::classify_exp::run().1),
-        other => Err(format!("unknown experiment id '{other}'")),
+/// Store `result` in `slot` and pass the printable output on.
+fn keep<T>((result, out): (T, String), slot: &mut Option<T>) -> Result<String, String> {
+    *slot = Some(result);
+    Ok(out)
+}
+
+/// Every experiment id, in paper order.
+pub const IDS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
     }
+    ids
+};
+
+/// Run one experiment by id on `pool`, returning its printable output. The
+/// experiments that Table 2 summarizes keep their typed results in
+/// `results`, which `table2` reads. An unknown id's error lists the ids.
+pub fn run_experiment(id: &str, pool: &ExecPool, results: &mut Results) -> Result<String, String> {
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .ok_or_else(|| format!("unknown experiment '{id}' (one of: {})", IDS.join(" ")))?;
+    run(pool, results)
 }
 
 /// What one [`run_observed`] call captured.
@@ -106,9 +116,12 @@ pub struct ObservedRun {
 /// bound as the global event sink, plus a [`TraceRecorder`] when `spans`
 /// and an [`ExplainRecorder`] when `explain`. Everything is uninstalled
 /// before this returns, whether or not the experiment succeeded.
+/// `results` is the caller's store (see [`run_experiment`]); a caller that
+/// times runs passes a fresh one to each, so every run computes everything.
 pub fn run_observed(
     id: &str,
     pool: &ExecPool,
+    results: &mut Results,
     spans: bool,
     explain: bool,
 ) -> Result<ObservedRun, String> {
@@ -124,7 +137,7 @@ pub fn run_observed(
         install_explain_recorder(rec.clone());
         rec
     });
-    let (wall_ns, result) = timed(|| run_experiment(id, pool));
+    let (wall_ns, result) = timed(|| run_experiment(id, pool, results));
     if tracer.is_some() {
         uninstall_recorder();
     }
@@ -253,8 +266,8 @@ pub fn best_of<A, B>(
 /// the overhead ceiling if one was requested.
 pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
-    let unprofiled = || run_experiment(&cfg.experiment, &pool);
-    let profiled = || run_observed(&cfg.experiment, &pool, true, false);
+    let unprofiled = || run_experiment(&cfg.experiment, &pool, &mut Results::default());
+    let profiled = || run_observed(&cfg.experiment, &pool, &mut Results::default(), true, false);
 
     // With a ceiling, both sides run warm: one untimed run generates the
     // cached datasets first, so neither side pays for it. Unprofiled runs
@@ -385,7 +398,7 @@ mod tests {
     #[test]
     fn unknown_ids_are_rejected() {
         let pool = ExecPool::sequential();
-        assert!(run_experiment("nope", &pool).is_err());
+        assert!(run_experiment("nope", &pool, &mut Results::default()).is_err());
     }
 
     #[test]

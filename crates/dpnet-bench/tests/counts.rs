@@ -5,6 +5,7 @@
 //! without a sink of its own reports to; it lives alone in its own test
 //! binary so that no concurrently running test adds events to its counts.
 
+use dpnet_bench::experiments::Results;
 use dpnet_bench::profile::run_observed;
 use dpnet_bench::report::RunReport;
 use pinq::ExecPool;
@@ -15,7 +16,8 @@ fn counts_are_the_same_at_any_worker_count() {
     // kernel runs, plan materializations, transforms, charges and a phase.
     let counts = |workers: usize| {
         let pool = ExecPool::new(workers).expect("pool");
-        let run = run_observed("itemsets", &pool, false, false).expect("itemsets runs");
+        let run = run_observed("itemsets", &pool, &mut Results::default(), false, false)
+            .expect("itemsets runs");
         let mut report = RunReport::new("counts");
         let recorded = report.record("itemsets", run.wall_ns, &run.events, &run.spans);
         recorded.counts.clone().expect("recorded runs carry counts")

@@ -368,17 +368,11 @@ pub fn classify_cmd(args: &Args) -> Result<String, String> {
 /// and optionally a Chrome-trace JSON loadable in Perfetto
 /// (`ui.perfetto.dev`) or `chrome://tracing`.
 pub fn profile_cmd(args: &Args) -> Result<String, String> {
-    use dpnet_bench::profile::{run_profiled, ProfileConfig, IDS};
+    use dpnet_bench::profile::{run_profiled, ProfileConfig};
     use std::path::PathBuf;
 
     args.only_flags(&["workers", "trace-out", "max-overhead", "report-dir"])?;
     let experiment = args.positional(0, "experiment")?;
-    if !IDS.contains(&experiment) {
-        return Err(format!(
-            "unknown experiment '{experiment}' (one of: {})",
-            IDS.join(" ")
-        ));
-    }
     let workers: usize = args.flag_or("workers", 1usize)?;
     let max_overhead = match args.flags.get("max-overhead") {
         Some(raw) => Some(
@@ -440,17 +434,10 @@ pub fn profile_cmd(args: &Args) -> Result<String, String> {
 /// `--trace-out`, the Chrome trace includes ε burn-down counter tracks.
 pub fn explain_cmd(args: &Args) -> Result<String, String> {
     use dpnet_bench::explain::{run_explained, ExplainConfig, ExplainFormat};
-    use dpnet_bench::profile::IDS;
     use std::path::PathBuf;
 
     args.only_flags(&["analyze", "format", "workers", "out", "trace-out"])?;
     let experiment = args.positional(0, "experiment")?;
-    if !IDS.contains(&experiment) {
-        return Err(format!(
-            "unknown experiment '{experiment}' (one of: {})",
-            IDS.join(" ")
-        ));
-    }
     let workers: usize = args.flag_or("workers", 1usize)?;
     let analyze: bool = args.flag_or("analyze", false)?;
     let format = ExplainFormat::parse(
